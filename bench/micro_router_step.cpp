@@ -61,4 +61,6 @@ BM_ElectricalStep(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_PhastlaneStep)->Arg(2)->Arg(10)->Arg(20);
-BENCHMARK(BM_ElectricalStep)->Arg(2)->Arg(10)->Arg(20);
+// Arg(1) is light load, where most routers are idle and skip
+// allocation.
+BENCHMARK(BM_ElectricalStep)->Arg(1)->Arg(2)->Arg(10)->Arg(20);

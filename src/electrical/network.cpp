@@ -1,6 +1,7 @@
 #include "electrical/network.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/log.hpp"
 
@@ -13,12 +14,20 @@ ElectricalNetwork::ElectricalNetwork(const ElectricalParams &params)
         fatal("routerDelay must be at least 2 cycles");
     if (params_.vcDepth != 1)
         fatal("only single-entry VCs are modeled (wait-for-tail)");
+    if (params_.outputSpeedup != 1)
+        fatal("only crossbar output speedup 1 is modeled");
+    if (params_.inputSpeedup < 1)
+        fatal("crossbar input speedup must be at least 1");
+    if (kAllPorts * params_.vcsPerPort > 64)
+        fatal("at most %d VCs per port fit the 64-bit allocator masks",
+              64 / kAllPorts);
     routers_.reserve(static_cast<size_t>(mesh_.nodeCount()));
     nics_.reserve(static_cast<size_t>(mesh_.nodeCount()));
     for (NodeId n = 0; n < mesh_.nodeCount(); ++n) {
         routers_.emplace_back(n, params_);
         nics_.emplace_back(n, params_);
     }
+    busyVcs_.assign(static_cast<size_t>(mesh_.nodeCount()), 0);
     linkCounts_.assign(
         static_cast<size_t>(mesh_.nodeCount()) * kMeshPorts, 0);
 }
@@ -82,6 +91,7 @@ ElectricalNetwork::releaseInputVc(NodeId r, Port p, int vc)
     auto &router = routers_[static_cast<size_t>(r)];
     InputVc &ivc = router.inputVc(p, vc);
     PL_ASSERT(ivc.busy(), "releasing an empty input VC");
+    --busyVcs_[static_cast<size_t>(r)];
     ivc.flit.reset();
     ivc.pendingMesh = 0;
     ivc.ejecting = false;
@@ -102,14 +112,15 @@ ElectricalNetwork::releaseInputVc(NodeId r, Port p, int vc)
 }
 
 void
-ElectricalNetwork::processArrival(const PendingArrival &a)
+ElectricalNetwork::processArrival(PendingArrival &&a)
 {
     auto &router = routers_[static_cast<size_t>(a.router)];
     InputVc &ivc = router.inputVc(a.port, a.vc);
     PL_ASSERT(!ivc.busy(), "arrival into an occupied VC at node %d",
               a.router);
     ++events_.bufferWrites;
-    ivc.flit = a.flit;
+    ++busyVcs_[static_cast<size_t>(a.router)];
+    ivc.flit = std::move(a.flit);
     ivc.arrivedAt = cycle_;
     ivc.pendingMesh = 0;
     ivc.ejecting = false;
@@ -209,6 +220,122 @@ ElectricalNetwork::handleSaWinners(NodeId r)
     }
 }
 
+std::string
+ElectricalNetwork::describeStuck(size_t max_vcs) const
+{
+    struct Held {
+        Cycle arrivedAt;
+        NodeId router;
+        int port;
+        int vc;
+    };
+    std::vector<Held> held;
+    for (NodeId r = 0; r < mesh_.nodeCount(); ++r) {
+        const auto &router = routers_[static_cast<size_t>(r)];
+        for (int pi = 0; pi < kAllPorts; ++pi) {
+            for (int v = 0; v < params_.vcsPerPort; ++v) {
+                const InputVc &ivc = router.inputVc(portFromIndex(pi), v);
+                if (ivc.busy())
+                    held.push_back(Held{ivc.arrivedAt, r, pi, v});
+            }
+        }
+    }
+    // Oldest first; ties stay in router, port, VC order.
+    std::stable_sort(held.begin(), held.end(),
+                     [](const Held &a, const Held &b) {
+                         return a.arrivedAt < b.arrivedAt;
+                     });
+    const size_t n = std::min(max_vcs, held.size());
+
+    std::string out;
+    char buf[192];
+    for (size_t i = 0; i < n; ++i) {
+        const Held &h = held[i];
+        const auto &router = routers_[static_cast<size_t>(h.router)];
+        const InputVc &ivc = router.inputVc(portFromIndex(h.port), h.vc);
+        const EFlit &f = *ivc.flit;
+        std::snprintf(buf, sizeof buf,
+                      "\n  router %d in %s vc %d: arrivedAt %llu dst %d "
+                      "tree %d pendingMesh 0x%x ejecting %d",
+                      h.router, portName(portFromIndex(h.port)), h.vc,
+                      static_cast<unsigned long long>(h.arrivedAt), f.dst,
+                      f.tree, ivc.pendingMesh, ivc.ejecting ? 1 : 0);
+        out += buf;
+        for (int po = 0; po < kMeshPorts; ++po) {
+            if ((ivc.pendingMesh & (1u << po)) == 0)
+                continue;
+            const Port port = portFromIndex(po);
+            const int bvc = ivc.branchVc[static_cast<size_t>(po)];
+            if (bvc >= 0) {
+                // Holds an output VC: waiting on switch allocation.
+                std::snprintf(buf, sizeof buf,
+                              "\n    -> %s branchVc %d (assigned, "
+                              "waiting on SA)",
+                              portName(port), bvc);
+                out += buf;
+                continue;
+            }
+            // No output VC yet: waiting on VC allocation.
+            int free = 0, assigned = 0, occupied = 0;
+            Cycle next_free = 0;
+            for (int v = 0; v < params_.vcsPerPort; ++v) {
+                const OutputVc &ovc = router.outputVc(port, v);
+                switch (ovc.state) {
+                  case OutputVc::State::Free:
+                    if (free++ == 0 || ovc.freeAt < next_free)
+                        next_free = ovc.freeAt;
+                    break;
+                  case OutputVc::State::Assigned: ++assigned; break;
+                  case OutputVc::State::Occupied: ++occupied; break;
+                }
+            }
+            std::snprintf(buf, sizeof buf,
+                          "\n    -> %s branchVc -1 (waiting on VA): "
+                          "output VCs free %d (earliest credit at %llu) "
+                          "assigned %d occupied %d",
+                          portName(port), free,
+                          static_cast<unsigned long long>(next_free),
+                          assigned, occupied);
+            out += buf;
+        }
+    }
+    if (held.size() > n) {
+        std::snprintf(buf, sizeof buf, "\n  ... %zu more busy input VCs",
+                      held.size() - n);
+        out += buf;
+    }
+
+    // Messages not yet in the network, and flits between routers.
+    static const char *const kTreeStates[] = {"not built", "building",
+                                              "ready"};
+    size_t nics = 0;
+    for (NodeId node = 0; node < mesh_.nodeCount(); ++node) {
+        const auto &nic = nics_[static_cast<size_t>(node)];
+        if (nic.empty() && nic.setupTargets().empty())
+            continue;
+        if (nics++ == max_vcs)
+            continue;
+        std::snprintf(buf, sizeof buf,
+                      "\n  nic %d: %zu queued, %zu setup clones left, "
+                      "tree %s, %d setup deliveries pending",
+                      node, nic.occupancy(), nic.setupTargets().size(),
+                      kTreeStates[static_cast<int>(nic.treeState())],
+                      nic.pendingSetupDeliveries());
+        out += buf;
+    }
+    const size_t on_links = arrivalsNext_.size() + arrivalsAfter_.size() +
+                            ejectionsNext_.size();
+    std::snprintf(buf, sizeof buf,
+                  "\n  %zu busy input VCs, %zu NICs with work, %zu flits "
+                  "on links or ejecting",
+                  held.size(), nics, on_links);
+    out += buf;
+    if (held.empty() && nics == 0 && on_links == 0)
+        out += "\n  nothing holds a flit: the outstanding deliveries "
+               "were lost, not blocked";
+    return out;
+}
+
 void
 ElectricalNetwork::step()
 {
@@ -220,8 +347,8 @@ ElectricalNetwork::step()
     arrivalsAfter_.clear();
     ejectionsNext_.clear();
 
-    for (const auto &a : arrivalsNow_)
-        processArrival(a);
+    for (auto &a : arrivalsNow_)
+        processArrival(std::move(a));
     for (const auto &e : ejectionsNow_)
         processEjection(e);
 
@@ -313,21 +440,29 @@ ElectricalNetwork::step()
         }
     }
 
+    // A router holding no flit has nothing to allocate.
     for (NodeId r = 0; r < mesh_.nodeCount(); ++r) {
+        if (busyVcs_[static_cast<size_t>(r)] == 0)
+            continue;
         events_.vaGrants += static_cast<uint64_t>(
             routers_[static_cast<size_t>(r)].allocateVcs(cycle_));
     }
-    for (NodeId r = 0; r < mesh_.nodeCount(); ++r)
-        handleSaWinners(r);
+    for (NodeId r = 0; r < mesh_.nodeCount(); ++r) {
+        if (busyVcs_[static_cast<size_t>(r)] != 0)
+            handleSaWinners(r);
+    }
 
     events_.routerCycles += static_cast<uint64_t>(mesh_.nodeCount());
 
     if (outstanding_ > 0 &&
         cycle_ - lastProgress_ > params_.watchdogCycles) {
         panic("electrical network made no progress for %llu cycles "
-              "(%llu outstanding deliveries)",
+              "(%llu outstanding deliveries) at cycle %llu; oldest "
+              "busy input VCs first:%s",
               static_cast<unsigned long long>(params_.watchdogCycles),
-              static_cast<unsigned long long>(outstanding_));
+              static_cast<unsigned long long>(outstanding_),
+              static_cast<unsigned long long>(cycle_),
+              describeStuck(4).c_str());
     }
     ++cycle_;
 }

@@ -20,6 +20,7 @@
 #ifndef PHASTLANE_ELECTRICAL_NETWORK_HPP
 #define PHASTLANE_ELECTRICAL_NETWORK_HPP
 
+#include <string>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -96,12 +97,17 @@ class ElectricalNetwork : public Network
         EFlit flit;
     };
 
-    void processArrival(const PendingArrival &a);
+    void processArrival(PendingArrival &&a);
     void processEjection(const PendingEjection &e);
     void injectFlit(NodeId n, EFlit flit);
     void handleSaWinners(NodeId r);
     void releaseInputVc(NodeId r, Port p, int vc);
     void deliver(const EFlit &flit, NodeId node);
+
+    /** Where outstanding traffic sits, for the watchdog's panic: the
+     *  oldest @p max_vcs busy input VCs with the output VCs they wait
+     *  on, NICs with work, and flits on links. */
+    std::string describeStuck(size_t max_vcs) const;
 
     ElectricalParams params_;
     MeshTopology mesh_;
@@ -109,6 +115,8 @@ class ElectricalNetwork : public Network
 
     std::vector<ElectricalRouter> routers_;
     std::vector<ElectricalNic> nics_;
+    /** Busy input VCs per router; routers at 0 skip VA and SA. */
+    std::vector<int> busyVcs_;
 
     std::vector<PendingArrival> arrivalsNow_;
     std::vector<PendingArrival> arrivalsNext_;

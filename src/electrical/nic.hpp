@@ -56,9 +56,14 @@ class ElectricalNic
      * streamed (consumed from the back).
      */
     std::vector<NodeId> &setupTargets() { return setupTargets_; }
+    const std::vector<NodeId> &setupTargets() const
+    {
+        return setupTargets_;
+    }
 
     /** Setup deliveries still pending before the tree is Ready. */
     int &pendingSetupDeliveries() { return pendingSetup_; }
+    int pendingSetupDeliveries() const { return pendingSetup_; }
 
     /** Begin streaming a broadcast as tree-installing clones. */
     void startSetupStream(std::vector<NodeId> targets,

@@ -1,6 +1,7 @@
 #include "electrical/router.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 
@@ -12,11 +13,11 @@ ElectricalRouter::ElectricalRouter(NodeId self,
       params_(params),
       inputs_(static_cast<size_t>(kAllPorts * params.vcsPerPort)),
       outputs_(static_cast<size_t>(kMeshPorts * params.vcsPerPort)),
-      vaPtr_(kMeshPorts, 0),
-      saPtr_(kMeshPorts, 0),
-      acceptPtr_(kAllPorts, 0),
       table_(params.vctmTableEntries)
 {
+    PL_ASSERT(kAllPorts * params.vcsPerPort <= 64,
+              "%d VCs per port overflow the 64-bit allocator masks",
+              params.vcsPerPort);
 }
 
 InputVc &
@@ -35,6 +36,14 @@ ElectricalRouter::inputVc(Port p, int v) const
 
 OutputVc &
 ElectricalRouter::outputVc(Port p, int v)
+{
+    PL_ASSERT(p != Port::Local, "no output VCs on the local port");
+    return outputs_[static_cast<size_t>(
+        portIndex(p) * params_.vcsPerPort + v)];
+}
+
+const OutputVc &
+ElectricalRouter::outputVc(Port p, int v) const
 {
     PL_ASSERT(p != Port::Local, "no output VCs on the local port");
     return outputs_[static_cast<size_t>(
@@ -64,140 +73,164 @@ ElectricalRouter::saStage(Cycle arrival) const
     return arrival + static_cast<Cycle>(params_.routerDelay - 1);
 }
 
+namespace {
+
+/** Bits [0, n) set, for n in [0, 64). */
+constexpr uint64_t
+lowBits(int n)
+{
+    return (uint64_t{1} << n) - 1;
+}
+
+/**
+ * Calls @p f(bit) for the set bits of @p mask in round-robin order
+ * from bit @p ptr: ptr, ptr+1, ..., then 0, ..., ptr-1. That is the
+ * ascending order of rank (bit - ptr) mod total for any total above
+ * the highest set bit. Stops early when @p f returns false.
+ */
+template <typename F>
+void
+forEachFrom(uint64_t mask, int ptr, F &&f)
+{
+    for (uint64_t m : {mask & ~lowBits(ptr), mask & lowBits(ptr)}) {
+        for (; m != 0; m &= m - 1) {
+            if (!f(std::countr_zero(m)))
+                return;
+        }
+    }
+}
+
+/** First set bit of @p mask in forEachFrom() order; -1 when empty. */
+int
+firstFrom(uint64_t mask, int ptr)
+{
+    const uint64_t upper = mask & ~lowBits(ptr);
+    const uint64_t m = upper != 0 ? upper : mask;
+    return m != 0 ? std::countr_zero(m) : -1;
+}
+
+} // namespace
+
 int
 ElectricalRouter::allocateVcs(Cycle now)
 {
     const int V = params_.vcsPerPort;
+    const int total = kAllPorts * V;
+    // Requests: bit gi of req[po] = input VC gi has an unallocated
+    // branch toward output port po.
+    std::array<uint64_t, kMeshPorts> req{};
+    for (int gi = 0; gi < total; ++gi) {
+        const InputVc &vc = inputs_[static_cast<size_t>(gi)];
+        if (!vc.busy() || vc.ejecting || now < vaStage(vc.arrivedAt))
+            continue;
+        for (unsigned m = vc.pendingMesh & lowBits(kMeshPorts); m != 0;
+             m &= m - 1) {
+            const int po = std::countr_zero(m);
+            if (vc.branchVc[static_cast<size_t>(po)] < 0)
+                req[static_cast<size_t>(po)] |= uint64_t{1} << gi;
+        }
+    }
     int grants = 0;
     for (int po = 0; po < kMeshPorts; ++po) {
-        const Port out = portFromIndex(po);
-        // Requesters: global input VC indices with an unallocated
-        // branch toward this port.
-        std::vector<int> reqs;
-        for (int gi = 0; gi < kAllPorts * V; ++gi) {
-            const InputVc &vc = inputs_[static_cast<size_t>(gi)];
-            if (!vc.busy() || vc.ejecting)
-                continue;
-            if (now < vaStage(vc.arrivedAt))
-                continue;
-            if ((vc.pendingMesh & (1u << po)) == 0)
-                continue;
-            if (vc.branchVc[po] >= 0)
-                continue;
-            reqs.push_back(gi);
-        }
-        if (reqs.empty())
+        const uint64_t reqs = req[static_cast<size_t>(po)];
+        if (reqs == 0)
             continue;
         // Free output VCs (credit returned, not assigned).
-        std::vector<int> free_vcs;
+        OutputVc *ovcs = &outputs_[static_cast<size_t>(po * V)];
+        uint64_t free_vcs = 0;
         for (int v = 0; v < V; ++v) {
-            const OutputVc &ovc = outputVc(out, v);
-            if (ovc.state == OutputVc::State::Free &&
-                ovc.freeAt <= now) {
-                free_vcs.push_back(v);
-            }
+            if (ovcs[v].state == OutputVc::State::Free &&
+                ovcs[v].freeAt <= now)
+                free_vcs |= uint64_t{1} << v;
         }
-        if (free_vcs.empty())
+        if (free_vcs == 0)
             continue;
-        // Round-robin over requesters starting at the port's pointer.
-        std::sort(reqs.begin(), reqs.end(), [&](int a, int b) {
-            const int total = kAllPorts * V;
-            const int ra = (a - vaPtr_[po] + total) % total;
-            const int rb = (b - vaPtr_[po] + total) % total;
-            return ra < rb;
-        });
-        const size_t n =
-            std::min(reqs.size(), free_vcs.size());
-        for (size_t i = 0; i < n; ++i) {
-            InputVc &vc = inputs_[static_cast<size_t>(reqs[i])];
-            vc.branchVc[po] = free_vcs[i];
-            outputVc(out, free_vcs[i]).state =
-                OutputVc::State::Assigned;
+        // Requesters in round-robin order from the port's pointer
+        // take the free VCs in ascending order.
+        int last = -1;
+        forEachFrom(reqs, ptr_.va[static_cast<size_t>(po)], [&](int gi) {
+            if (free_vcs == 0)
+                return false;
+            const int v = std::countr_zero(free_vcs);
+            free_vcs &= free_vcs - 1;
+            inputs_[static_cast<size_t>(gi)]
+                .branchVc[static_cast<size_t>(po)] = v;
+            ovcs[v].state = OutputVc::State::Assigned;
             ++grants;
-        }
-        vaPtr_[po] = (reqs[n - 1] + 1) % (kAllPorts * V);
+            last = gi;
+            return true;
+        });
+        ptr_.va[static_cast<size_t>(po)] = (last + 1) % total;
     }
     return grants;
 }
 
-std::vector<SaWinner>
+SaWinners
 ElectricalRouter::allocateSwitch(Cycle now)
 {
     const int V = params_.vcsPerPort;
     const int total = kAllPorts * V;
-    std::vector<SaWinner> winners;
-    int input_grants[kAllPorts] = {0, 0, 0, 0, 0};
+    SaWinners winners;
 
-    // Eligible requests: request[po] holds the input VCs wanting
-    // output port po this cycle.
-    std::array<std::vector<int>, kMeshPorts> requests;
+    // Eligible requests: bit gi of req[po] = input VC gi holds an
+    // output VC on po and has reached its SA stage.
+    std::array<uint64_t, kMeshPorts> req{};
     for (int gi = 0; gi < total; ++gi) {
         const InputVc &vc = inputs_[static_cast<size_t>(gi)];
         if (!vc.busy() || now < saStage(vc.arrivedAt))
             continue;
         for (int po = 0; po < kMeshPorts; ++po) {
-            if (vc.branchVc[po] >= 0)
-                requests[static_cast<size_t>(po)].push_back(gi);
+            if (vc.branchVc[static_cast<size_t>(po)] >= 0)
+                req[static_cast<size_t>(po)] |= uint64_t{1} << gi;
         }
     }
+    if ((req[0] | req[1] | req[2] | req[3]) == 0)
+        return winners;
 
-    bool output_matched[kMeshPorts] = {false, false, false, false};
-    // (gi, po) pairs already matched this cycle.
-    std::vector<uint8_t> pair_matched(
-        static_cast<size_t>(total) * kMeshPorts, 0);
+    int input_grants[kAllPorts] = {0, 0, 0, 0, 0};
+    // Input VCs of ports that have used up their input speedup.
+    uint64_t capped = 0;
+    // Output ports already matched (output speedup 1).
+    unsigned output_matched = 0;
 
     const int iterations = std::max(1, params_.allocIterations);
     for (int iter = 0; iter < iterations; ++iter) {
         // Grant: every unmatched output offers to one requester.
         int grant_to[kMeshPorts] = {-1, -1, -1, -1};
         for (int po = 0; po < kMeshPorts; ++po) {
-            if (output_matched[po])
-                continue;
-            int best = -1;
-            int best_rank = total;
-            for (int gi : requests[static_cast<size_t>(po)]) {
-                if (pair_matched[static_cast<size_t>(gi) *
-                                     kMeshPorts + po])
-                    continue;
-                if (input_grants[gi / V] >= params_.inputSpeedup)
-                    continue;
-                const int rank = (gi - saPtr_[po] + total) % total;
-                if (rank < best_rank) {
-                    best = gi;
-                    best_rank = rank;
-                }
-            }
-            grant_to[po] = best;
+            if ((output_matched & (1u << po)) == 0)
+                grant_to[po] =
+                    firstFrom(req[static_cast<size_t>(po)] & ~capped,
+                              ptr_.sa[static_cast<size_t>(po)]);
         }
         // Accept: each input port accepts grants in round-robin
         // order of output ports, within its speedup budget.
         bool any = false;
         for (int pi = 0; pi < kAllPorts; ++pi) {
+            // The scan reads the accept pointer as moved by this
+            // port's earlier accepts in the same loop.
+            int &accept = ptr_.accept[static_cast<size_t>(pi)];
             for (int k = 0; k < kMeshPorts; ++k) {
-                const int po =
-                    (acceptPtr_[static_cast<size_t>(pi)] + k) %
-                    kMeshPorts;
+                const int po = (accept + k) % kMeshPorts;
                 const int gi = grant_to[po];
                 if (gi < 0 || gi / V != pi)
                     continue;
                 if (input_grants[pi] >= params_.inputSpeedup)
                     continue;
-                InputVc &vc = inputs_[static_cast<size_t>(gi)];
-                winners.push_back(
-                    SaWinner{portFromIndex(pi), gi % V,
-                             portFromIndex(po), vc.branchVc[po]});
-                output_matched[po] = true;
-                pair_matched[static_cast<size_t>(gi) * kMeshPorts +
-                             po] = 1;
-                ++input_grants[pi];
+                const InputVc &vc = inputs_[static_cast<size_t>(gi)];
+                winners.push(SaWinner{
+                    portFromIndex(pi), gi % V, portFromIndex(po),
+                    vc.branchVc[static_cast<size_t>(po)]});
+                output_matched |= 1u << po;
+                if (++input_grants[pi] >= params_.inputSpeedup)
+                    capped |= lowBits(V) << (pi * V);
                 grant_to[po] = -1;
                 any = true;
                 // iSLIP pointer update: only on first-iteration
                 // matches, to preserve desynchronization.
                 if (iter == 0) {
-                    saPtr_[po] = (gi + 1) % total;
-                    acceptPtr_[static_cast<size_t>(pi)] =
-                        (po + 1) % kMeshPorts;
+                    ptr_.sa[static_cast<size_t>(po)] = (gi + 1) % total;
+                    accept = (po + 1) % kMeshPorts;
                 }
             }
         }

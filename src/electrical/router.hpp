@@ -69,6 +69,35 @@ struct SaWinner {
     int outVc;
 };
 
+/** The switch-allocation winners of one cycle, in grant order. With
+ *  output speedup 1 each mesh output port is won at most once. */
+class SaWinners
+{
+  public:
+    void push(const SaWinner &w) { list_[count_++] = w; }
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    const SaWinner &operator[](size_t i) const { return list_[i]; }
+    const SaWinner *begin() const { return list_.data(); }
+    const SaWinner *end() const { return list_.data() + count_; }
+
+  private:
+    std::array<SaWinner, kMeshPorts> list_{};
+    size_t count_ = 0;
+};
+
+/** Round-robin priority state of the VC and switch allocators. */
+struct AllocPointers {
+    /** VA: first-priority input VC (port * V + vc) per output port. */
+    std::array<int, kMeshPorts> va{};
+    /** SA grant pointer (port * V + vc) per output port. */
+    std::array<int, kMeshPorts> sa{};
+    /** SA accept pointer (mesh output port) per input port. */
+    std::array<int, kAllPorts> accept{};
+
+    bool operator==(const AllocPointers &) const = default;
+};
+
 /**
  * Router state plus allocation logic. Inter-router flit movement and
  * credit notification are orchestrated by ElectricalNetwork.
@@ -83,18 +112,23 @@ class ElectricalRouter
     InputVc &inputVc(Port p, int v);
     const InputVc &inputVc(Port p, int v) const;
     OutputVc &outputVc(Port p, int v);
+    const OutputVc &outputVc(Port p, int v) const;
 
     /** A free input VC index at @p p, or -1 when all are busy. */
     int freeInputVc(Port p) const;
 
     VctmTable &treeTable() { return table_; }
 
+    /** The allocators' round-robin pointers. */
+    AllocPointers &pointers() { return ptr_; }
+    const AllocPointers &pointers() const { return ptr_; }
+
     /**
      * VC allocation (iSLIP-style, output-first, single iteration):
      * input VCs holding a flit whose VA stage has been reached and
      * that have an unserved branch request an output VC on the
      * branch's port; free output VCs are granted round-robin.
-     * Returns the number of grants.
+     * Returns the number of grants. Makes no heap allocation.
      */
     int allocateVcs(Cycle now);
 
@@ -104,10 +138,11 @@ class ElectricalRouter
      * configured number of grant/accept iterations, limited by the
      * input speedup (output speedup 1). Round-robin grant and accept
      * pointers advance only on first-iteration matches, per the iSLIP
-     * pointer-update rule. Winners' output VCs move to Occupied;
-     * branch and input-VC release is handled by the caller.
+     * pointer-update rule. The caller moves winners' output VCs to
+     * Occupied and releases branches and input VCs. Makes no heap
+     * allocation.
      */
-    std::vector<SaWinner> allocateSwitch(Cycle now);
+    SaWinners allocateSwitch(Cycle now);
 
     /** Earliest cycle a flit that arrived at @p arrival may do VA. */
     Cycle vaStage(Cycle arrival) const;
@@ -120,9 +155,7 @@ class ElectricalRouter
     const ElectricalParams &params_;
     std::vector<InputVc> inputs_;   ///< [port * V + vc]
     std::vector<OutputVc> outputs_; ///< [meshPort * V + vc]
-    std::vector<int> vaPtr_;        ///< per output port
-    std::vector<int> saPtr_;        ///< grant pointer per output port
-    std::vector<int> acceptPtr_;    ///< accept pointer per input port
+    AllocPointers ptr_;
     VctmTable table_;
 };
 

@@ -1,7 +1,5 @@
 #include "electrical/vctm.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 
 namespace phastlane::electrical {
@@ -26,13 +24,15 @@ VctmTable::entry(TreeId tree)
     auto it = entries_.find(tree);
     if (it != entries_.end())
         return it->second;
-    if (entries_.size() >= capacity_) {
-        const TreeId victim = fifo_.front();
-        fifo_.erase(fifo_.begin());
-        entries_.erase(victim);
+    if (fifo_.size() < capacity_) {
+        fifo_.push_back(tree);
+    } else {
+        // Full: the newest tree takes the oldest one's ring slot.
+        entries_.erase(fifo_[head_]);
         ++evictions_;
+        fifo_[head_] = tree;
+        head_ = (head_ + 1) % capacity_;
     }
-    fifo_.push_back(tree);
     return entries_[tree];
 }
 

@@ -62,7 +62,10 @@ class VctmTable
 
     size_t capacity_;
     std::unordered_map<TreeId, TreeEntry> entries_;
+    /** Trees in install order, as a ring once full: fifo_[head_] is
+     *  the oldest. */
     std::vector<TreeId> fifo_;
+    size_t head_ = 0;
     uint64_t evictions_ = 0;
 };
 

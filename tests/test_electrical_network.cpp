@@ -6,8 +6,11 @@
  */
 
 #include <gtest/gtest.h>
+#include <cstdio>
 #include <map>
+#include <string>
 
+#include "common/rng.hpp"
 #include "electrical/network.hpp"
 
 namespace phastlane::electrical {
@@ -193,8 +196,9 @@ TEST(ElectricalNet, InjectionThroughputOnePerCycle)
     ASSERT_EQ(dels.size(), static_cast<size_t>(n));
     Cycle last = 0;
     for (const auto &d : dels) {
-        if (last != 0)
+        if (last != 0) {
             EXPECT_GE(d.at, last + 1);
+        }
         last = d.at;
     }
 }
@@ -248,6 +252,245 @@ TEST(ElectricalNet, EventAccountingConsistent)
     EXPECT_EQ(ev.bufferWrites,
               ev.linkTraversals + net.counters().packetsInjected);
     EXPECT_EQ(ev.ejections, net.counters().deliveries);
+}
+
+TEST(ElectricalNetDeathTest, RejectsOutputSpeedupOtherThanOne)
+{
+    ElectricalParams p;
+    p.outputSpeedup = 2;
+    EXPECT_DEATH({ ElectricalNetwork net(p); }, "output speedup 1");
+}
+
+TEST(ElectricalNetDeathTest, RejectsInputSpeedupBelowOne)
+{
+    ElectricalParams p;
+    p.inputSpeedup = 0;
+    EXPECT_DEATH({ ElectricalNetwork net(p); },
+                 "input speedup must be at least 1");
+}
+
+TEST(ElectricalNetDeathTest, RejectsMoreVcsThanTheMasksHold)
+{
+    ElectricalParams p;
+    p.vcsPerPort = 13; // 5 ports x 13 VCs > 64 mask bits
+    EXPECT_DEATH({ ElectricalNetwork net(p); },
+                 "at most 12 VCs per port");
+}
+
+TEST(ElectricalNetDeathTest, WatchdogNamesTheStuckVc)
+{
+    // With a 1-cycle watchdog the gap between two hops' switch grants
+    // trips it: the flit has just reached router 1 (West input) and
+    // waits on VC allocation toward East.
+    ElectricalParams p;
+    p.watchdogCycles = 1;
+    EXPECT_DEATH(
+        {
+            ElectricalNetwork net(p);
+            net.inject(unicast(1, 0, 63));
+            while (net.inFlight() > 0)
+                net.step();
+        },
+        "no progress for 1 cycles.*router 1 in W vc 0: arrivedAt 4 "
+        "dst 63 tree -1 pendingMesh 0x2.*-> E branchVc -1 \\(waiting "
+        "on VA\\): output VCs free 10");
+}
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+/** Everything the golden run observes, in one comparable record. */
+struct GoldenRun {
+    Cycle finish = 0;
+    uint64_t deliveryDigest = 0; ///< FNV of (node, at, packet id)
+    uint64_t linkDigest = 0;     ///< FNV of linkCounts()
+    ElectricalEvents ev;
+    ElectricalCounters el;
+};
+
+/**
+ * A seeded unicast + broadcast mix (first broadcasts build VCTM
+ * trees, later ones from the same sources reuse them), then a
+ * saturating burst, then a drain.
+ */
+GoldenRun
+goldenRun(int router_delay, int alloc_iterations, int input_speedup)
+{
+    ElectricalParams p;
+    p.routerDelay = router_delay;
+    p.allocIterations = alloc_iterations;
+    p.inputSpeedup = input_speedup;
+    ElectricalNetwork net(p);
+    Rng rng(0xe1ec7a1 + static_cast<uint64_t>(router_delay * 100 +
+                                              alloc_iterations * 10 +
+                                              input_speedup));
+    Fnv deliveries;
+    PacketId id = 1;
+    auto offer = [&](NodeId src, bool bcast) {
+        Packet pkt;
+        pkt.id = id++;
+        pkt.src = src;
+        pkt.createdAt = net.now();
+        if (bcast) {
+            pkt.broadcast = true;
+        } else {
+            NodeId dst = src;
+            while (dst == src)
+                dst = static_cast<NodeId>(rng.uniformInt(0, 63));
+            pkt.dst = dst;
+        }
+        net.inject(pkt);
+    };
+    auto step = [&]() {
+        net.step();
+        for (const auto &d : net.deliveries()) {
+            deliveries.add(static_cast<uint64_t>(d.node));
+            deliveries.add(d.at);
+            deliveries.add(d.packet.id);
+        }
+    };
+    for (int c = 0; c < 400; ++c) {
+        for (NodeId n = 0; n < 64; ++n) {
+            if (rng.bernoulli(0.04))
+                offer(n, n % 8 == 3 && rng.bernoulli(0.3));
+        }
+        step();
+    }
+    for (int c = 0; c < 60; ++c) {
+        for (NodeId n = 0; n < 64; ++n) {
+            if (rng.bernoulli(0.6))
+                offer(n, c % 15 == 0 && n % 4 == 0);
+        }
+        step();
+    }
+    for (int c = 0; c < 200000 && net.inFlight() > 0; ++c)
+        step();
+    EXPECT_EQ(net.inFlight(), 0u) << "network did not drain";
+
+    GoldenRun g;
+    g.finish = net.now();
+    g.deliveryDigest = deliveries.h;
+    Fnv links;
+    for (uint64_t v : net.linkCounts())
+        links.add(v);
+    g.linkDigest = links.h;
+    g.ev = net.events();
+    g.el = net.electricalCounters();
+    return g;
+}
+
+struct GoldenCase {
+    int routerDelay;
+    int allocIterations;
+    int inputSpeedup;
+    GoldenRun want;
+};
+
+std::string
+describe(const GoldenCase &c, const GoldenRun &g)
+{
+    char buf[512];
+    std::snprintf(
+        buf, sizeof buf,
+        "{%d, %d, %d, {%lluu, 0x%llxull, 0x%llxull, {%lluu, %lluu, "
+        "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu}, {%lluu, "
+        "%lluu}}},",
+        c.routerDelay, c.allocIterations, c.inputSpeedup,
+        static_cast<unsigned long long>(g.finish),
+        static_cast<unsigned long long>(g.deliveryDigest),
+        static_cast<unsigned long long>(g.linkDigest),
+        static_cast<unsigned long long>(g.ev.bufferWrites),
+        static_cast<unsigned long long>(g.ev.bufferReads),
+        static_cast<unsigned long long>(g.ev.xbarTraversals),
+        static_cast<unsigned long long>(g.ev.linkTraversals),
+        static_cast<unsigned long long>(g.ev.vaGrants),
+        static_cast<unsigned long long>(g.ev.saGrants),
+        static_cast<unsigned long long>(g.ev.ejections),
+        static_cast<unsigned long long>(g.ev.treeLookups),
+        static_cast<unsigned long long>(g.ev.routerCycles),
+        static_cast<unsigned long long>(g.el.treeMulticasts),
+        static_cast<unsigned long long>(g.el.setupUnicasts));
+    return buf;
+}
+
+TEST(ElectricalNet, GoldenAcrossAllocatorConfigs)
+{
+    // Recorded on the sort-based allocators the bitmask ones replaced:
+    // any change to grants, winner order or pointer updates moves a
+    // delivery cycle, an event count or a link count here.
+    const GoldenCase cases[] = {
+        {2, 1, 1,
+         {700u, 0xe02b93e699edac9dull, 0x69c6a2e0b2a2616cull,
+          {39913u, 33849u, 33849u, 33849u, 33849u,
+           33849u, 7986u, 1984u, 44800u},
+          {31u, 2772u}}},
+        {2, 1, 4,
+         {630u, 0x8a77191e05381a9cull, 0x9faa76d533cd285bull,
+          {39412u, 33378u, 33378u, 33378u, 33378u,
+           33378u, 7956u, 1984u, 40320u},
+          {31u, 2709u}}},
+        {2, 2, 1,
+         {631u, 0x4503a7f14b817b85ull, 0x8392ffcce083068full,
+          {37527u, 31986u, 31986u, 31986u, 31986u,
+           31986u, 8269u, 2816u, 40384u},
+          {44u, 2331u}}},
+        {2, 2, 4,
+         {614u, 0x3cacd0ad22243179ull, 0x268f08a33cc1396full,
+          {40039u, 33956u, 33956u, 33956u, 33956u,
+           33956u, 8005u, 1984u, 39296u},
+          {31u, 2772u}}},
+        {3, 1, 1,
+         {666u, 0xdbf2fdeb6ab4b771ull, 0x473abeb295de904aull,
+          {37762u, 32090u, 32090u, 32090u, 32090u,
+           32090u, 7966u, 2368u, 42624u},
+          {37u, 2394u}}},
+        {3, 1, 4,
+         {664u, 0x7ec792152cc425a9ull, 0xf7e752287768225dull,
+          {39711u, 33743u, 33743u, 33743u, 33743u,
+           33743u, 8138u, 2240u, 42496u},
+          {35u, 2646u}}},
+        {3, 2, 1,
+         {652u, 0x12b6ce2ca1e1c479ull, 0x457975c3727c0e35ull,
+          {38807u, 32958u, 32958u, 32958u, 32958u,
+           32958u, 8081u, 2304u, 41728u},
+          {36u, 2583u}}},
+        {3, 2, 4,
+         {627u, 0xf25a8157a7050384ull, 0x588e12d97b38d8a3ull,
+          {39111u, 33196u, 33196u, 33196u, 33196u,
+           33196u, 7899u, 2048u, 40128u},
+          {32u, 2646u}}},
+    };
+    for (const GoldenCase &c : cases) {
+        const GoldenRun got =
+            goldenRun(c.routerDelay, c.allocIterations, c.inputSpeedup);
+        const GoldenRun &w = c.want;
+        SCOPED_TRACE(describe(c, got));
+        EXPECT_EQ(got.finish, w.finish);
+        EXPECT_EQ(got.deliveryDigest, w.deliveryDigest);
+        EXPECT_EQ(got.linkDigest, w.linkDigest);
+        EXPECT_EQ(got.ev.bufferWrites, w.ev.bufferWrites);
+        EXPECT_EQ(got.ev.bufferReads, w.ev.bufferReads);
+        EXPECT_EQ(got.ev.xbarTraversals, w.ev.xbarTraversals);
+        EXPECT_EQ(got.ev.linkTraversals, w.ev.linkTraversals);
+        EXPECT_EQ(got.ev.vaGrants, w.ev.vaGrants);
+        EXPECT_EQ(got.ev.saGrants, w.ev.saGrants);
+        EXPECT_EQ(got.ev.ejections, w.ev.ejections);
+        EXPECT_EQ(got.ev.treeLookups, w.ev.treeLookups);
+        EXPECT_EQ(got.ev.routerCycles, w.ev.routerCycles);
+        EXPECT_EQ(got.el.treeMulticasts, w.el.treeMulticasts);
+        EXPECT_EQ(got.el.setupUnicasts, w.el.setupUnicasts);
+    }
 }
 
 } // namespace

@@ -75,5 +75,30 @@ TEST(Vctm, ReinstallAfterEviction)
     EXPECT_EQ(e->meshPorts, 1u << portIndex(Port::South));
 }
 
+TEST(Vctm, EvictionOrderIsInstallOrderAcrossWraps)
+{
+    // Capacity 3 with seven trees: the ring wraps twice. Eviction is
+    // FIFO by first install; touching an entry does not refresh it.
+    VctmTable t(3);
+    t.installPort(10, Port::North);
+    t.installPort(20, Port::North);
+    t.installPort(30, Port::North);
+    t.installPort(40, Port::North); // evicts 10
+    t.installLocal(20);             // hit: no reordering
+    t.installPort(50, Port::North); // evicts 20
+    EXPECT_EQ(t.find(10), nullptr);
+    EXPECT_EQ(t.find(20), nullptr);
+    t.installPort(60, Port::North); // evicts 30
+    t.installPort(70, Port::North); // evicts 40
+    t.installPort(10, Port::East);  // evicts 50
+    for (TreeId gone : {20, 30, 40, 50})
+        EXPECT_EQ(t.find(gone), nullptr) << gone;
+    for (TreeId kept : {60, 70, 10})
+        EXPECT_NE(t.find(kept), nullptr) << kept;
+    EXPECT_EQ(t.find(10)->meshPorts, 1u << portIndex(Port::East));
+    EXPECT_EQ(t.evictions(), 5u);
+    EXPECT_EQ(t.size(), 3u);
+}
+
 } // namespace
 } // namespace phastlane::electrical
