@@ -18,8 +18,8 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
-#include "sim/parallel.hpp"
 
 namespace phastlane::bench {
 
@@ -39,7 +39,7 @@ struct BenchOptions {
         o.csvPath = o.raw.getString("csv");
         o.quick = o.raw.getBool("quick", false);
         o.seed = static_cast<uint64_t>(o.raw.getInt("seed", 12345));
-        o.threads = sim::resolveThreadCount(
+        o.threads = resolveThreadCount(
             static_cast<int>(o.raw.getInt("threads", 0)));
         return o;
     }

@@ -16,14 +16,7 @@
  *      the 1-thread run and its parallel efficiency, normalized by
  *      the attainable speedup min(threads, hardware_concurrency) so a
  *      2-core CI box is not asked to show an 8x speedup.
- *   3. Mega-mesh step() wall-clock throughput, scalar versus the
- *      sharded topology-parallel engine at 1/2/4/8 worker threads
- *      (DESIGN.md §12): 32x32 with a 4x4 shard grid, shrunk to 16x16
- *      with 2x2 shards under --quick so the tier-1 smoke gate covers
- *      the sharded path too. Recorded in the JSON for trend tracking,
- *      not gated: shard scaling is a property of the measuring
- *      machine's core count.
- *   4. Batched multi-sim throughput (DESIGN.md §13): 64 independent
+ *   3. Batched multi-sim throughput (DESIGN.md §13): 64 independent
  *      8x8 instances at the default offered load, stepped serially
  *      one-after-another versus in one lockstep NetworkBatch gang.
  *      Gated (with --baseline) on the batched/serial speedup staying
@@ -61,11 +54,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/parallel.hpp"
 #include "core/batch.hpp"
 #include "core/network.hpp"
 #include "sim/configs.hpp"
 #include "sim/multisim.hpp"
-#include "sim/parallel.hpp"
 #include "sim/sweep.hpp"
 #include "traffic/patterns.hpp"
 
@@ -96,29 +89,15 @@ cpuSeconds()
     return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
+/** step() CPU-time throughput under Bernoulli uniform-random load
+ *  on the default 8x8 mesh. */
 double
-wallSeconds()
+stepThroughput(uint64_t cycles, double rate)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/**
- * Bernoulli uniform-random step() workload on an arbitrary mesh/shard
- * configuration, timed with the supplied clock. The sharded points use
- * wall-clock (the whole point is that CPU time is spread over several
- * cores); the scalar 32x32 reference uses the same clock so the
- * speedup ratio compares like with like.
- */
-double
-stepThroughputWith(const core::PhastlaneParams &params, uint64_t cycles,
-                   double rate, double (*clock_fn)())
-{
-    core::PhastlaneNetwork net(params);
+    core::PhastlaneNetwork net(core::PhastlaneParams{});
     Rng rng(7);
     PacketId id = 1;
-    const double start = clock_fn();
+    const double start = cpuSeconds();
     for (uint64_t c = 0; c < cycles; ++c) {
         for (NodeId n = 0; n < net.nodeCount(); ++n) {
             if (rng.bernoulli(rate)) {
@@ -134,16 +113,8 @@ stepThroughputWith(const core::PhastlaneParams &params, uint64_t cycles,
         }
         net.step();
     }
-    const double secs = clock_fn() - start;
+    const double secs = cpuSeconds() - start;
     return secs > 0.0 ? static_cast<double>(cycles) / secs : 0.0;
-}
-
-/** step() CPU-time throughput under Bernoulli uniform-random load. */
-double
-stepThroughput(uint64_t cycles, double rate)
-{
-    core::PhastlaneParams params;
-    return stepThroughputWith(params, cycles, rate, cpuSeconds);
 }
 
 /** Wall-clock of one fixed-size sweep at the given thread count. */
@@ -264,56 +235,7 @@ main(int argc, char **argv)
                     pt.expectedSpeedup);
     }
 
-    // 3. Mega-mesh sharded step(): wall-clock throughput versus the
-    // unsharded scalar engine on the same topology. --quick shrinks
-    // the mesh (16x16, 2x2 shards) so the smoke gate still covers the
-    // sharded path. Informational (recorded, not gated): shard
-    // scaling depends on the core count of the measuring machine.
-    const int mega_dim = opts.quick ? 16 : 32;
-    const int mega_shard_dim = opts.quick ? 2 : 4;
-    const uint64_t mega_cycles = opts.quick ? 300 : 1500;
-    core::PhastlaneParams mega;
-    mega.meshWidth = mega_dim;
-    mega.meshHeight = mega_dim;
-    stepThroughputWith(mega, opts.quick ? 50 : 200, rate,
-                       wallSeconds); // warm
-    const double mega_scalar =
-        stepThroughputWith(mega, mega_cycles, rate, wallSeconds);
-    std::printf("%dx%d scalar step(): %.0f cycles/sec "
-                "(%.2fM node-cycles/sec, wall clock)\n",
-                mega_dim, mega_dim, mega_scalar,
-                mega_scalar * mega_dim * mega_dim / 1e6);
-    std::vector<ScalePoint> mega_sweep;
-    double mega_best_eff = 0.0;
-    for (int t : thread_counts) {
-        core::PhastlaneParams sp = mega;
-        sp.shardCols = mega_shard_dim;
-        sp.shardRows = mega_shard_dim;
-        sp.shardThreads = t;
-        ScalePoint pt;
-        pt.threads = t;
-        const double rate_sharded =
-            stepThroughputWith(sp, mega_cycles, rate, wallSeconds);
-        pt.seconds = rate_sharded > 0.0
-                         ? static_cast<double>(mega_cycles) /
-                               rate_sharded
-                         : 0.0;
-        pt.speedup =
-            mega_scalar > 0.0 ? rate_sharded / mega_scalar : 0.0;
-        pt.expectedSpeedup = static_cast<double>(
-            std::min<unsigned>(static_cast<unsigned>(t), hw));
-        pt.efficiency = pt.speedup / pt.expectedSpeedup;
-        mega_best_eff = std::max(mega_best_eff, pt.efficiency);
-        mega_sweep.push_back(pt);
-        std::printf("%dx%d sharded %dx%d @ %2d threads: %7.0f "
-                    "cycles/sec (speedup %.2fx, efficiency %.2f of "
-                    "%.0fx attainable)\n",
-                    mega_dim, mega_dim, mega_shard_dim,
-                    mega_shard_dim, t, rate_sharded, pt.speedup,
-                    pt.efficiency, pt.expectedSpeedup);
-    }
-
-    // 4. Batched multi-sim (DESIGN.md §13): the same 64 default-shape
+    // 3. Batched multi-sim (DESIGN.md §13): the same 64 default-shape
     // instances advanced serially one-after-another versus quantum-
     // interleaved through one NetworkBatch. Identical per-instance
     // work and results either way; the batch wins by skipping idle
@@ -569,37 +491,6 @@ main(int argc, char **argv)
                 i + 1 < sweep.size() ? "," : "");
         }
         std::fprintf(f, "  ],\n");
-        // Informational 32x32 sharded-step record (schema 2 addition;
-        // readBaselineKey skips unknown keys, so old gates still read
-        // this file).
-        std::fprintf(f, "  \"mega_mesh\": {\n");
-        std::fprintf(f,
-                     "    \"width\": %d, \"height\": %d, "
-                     "\"shard_cols\": %d, \"shard_rows\": %d,\n",
-                     mega_dim, mega_dim, mega_shard_dim,
-                     mega_shard_dim);
-        std::fprintf(f,
-                     "    \"scalar_cycles_per_sec\": %.1f,\n",
-                     mega_scalar);
-        std::fprintf(f,
-                     "    \"best_sharded_efficiency\": %.3f,\n",
-                     mega_best_eff);
-        std::fprintf(f, "    \"sharded\": [\n");
-        for (size_t i = 0; i < mega_sweep.size(); ++i) {
-            const ScalePoint &pt = mega_sweep[i];
-            std::fprintf(
-                f,
-                "      {\"threads\": %d, \"cycles_per_sec\": %.1f, "
-                "\"speedup\": %.3f, \"expected_speedup\": %.0f, "
-                "\"efficiency\": %.3f}%s\n",
-                pt.threads,
-                pt.seconds > 0.0
-                    ? static_cast<double>(mega_cycles) / pt.seconds
-                    : 0.0,
-                pt.speedup, pt.expectedSpeedup, pt.efficiency,
-                i + 1 < mega_sweep.size() ? "," : "");
-        }
-        std::fprintf(f, "    ]\n  },\n");
         // Batched multi-sim record (DESIGN.md §13); the speedup is
         // self-relative (serial and batched measured in this run), so
         // the gate holds on any machine.

@@ -241,8 +241,8 @@ knownFlags()
         "heatmap-csv", "heatmap-interval", "check",
         "reliable",    "fault-sweep-out", "fault-field",
         "fault-max",   "fault-steps",     "threads",
-        "wavefront",   "mesh",            "shards",
-        "batch",       "fairness-csv",    "max-cycles",
+        "wavefront",   "mesh",            "batch",
+        "fairness-csv", "max-cycles",
     };
     for (const auto &f : sim::faultFlagNames())
         flags.push_back(f);
@@ -292,21 +292,16 @@ main(int argc, char **argv)
             "ablation)\n"
             "    --mesh WxH        override the mesh dimensions "
             "(e.g. 32x32, 9x7)\n"
-            "    --shards N|CxR    shard the step() spatially and "
-            "run shard-parallel\n"
-            "            (bit-identical to --shards 1; DESIGN.md "
-            "§12). --threads caps\n"
-            "            the worker count.\n"
             "    --batch B         synthetic workloads: run B "
             "instances with seeds\n"
             "            seed..seed+B-1 in one lockstep gang "
             "(DESIGN.md §13) and print\n"
             "            per-seed plus aggregate results. "
             "Incompatible with --check,\n"
-            "            --reliable, --shards, observability sinks, "
-            "and --wavefront\n"
-            "            global. In fault-sweep mode, sets the "
-            "sweep's gang size.\n"
+            "            --reliable, observability sinks, and "
+            "--wavefront global.\n"
+            "            In fault-sweep mode, sets the sweep's "
+            "gang size.\n"
             "  checking: --check (run under the invariant checker "
             "and, where supported,\n"
             "            in lockstep with the reference oracle; "
@@ -438,60 +433,28 @@ main(int argc, char **argv)
         net = std::make_unique<core::PhastlaneNetwork>(p);
     }
 
-    // --mesh WxH resizes the router grid; --shards N (auto-factored)
-    // or CxR turns on the topology-parallel sharded step() (DESIGN.md
-    // §12). Both rebuild the network before any observer attaches.
-    if (args.has("mesh") || args.has("shards")) {
+    // --mesh WxH resizes the router grid, rebuilding the network
+    // before any observer attaches.
+    if (args.has("mesh")) {
         auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
         if (!pl)
-            panic("--mesh/--shards support optical (Phastlane) "
-                  "configurations only");
+            panic("--mesh supports optical (Phastlane) configurations "
+                  "only");
         core::PhastlaneParams p = pl->params();
-        if (args.has("mesh")) {
-            const std::string spec = args.getString("mesh", "");
-            const size_t x = spec.find('x');
-            int w = 0;
-            int h = 0;
-            if (x != std::string::npos) {
-                w = std::atoi(spec.substr(0, x).c_str());
-                h = std::atoi(spec.substr(x + 1).c_str());
-            }
-            if (w < 1 || h < 1)
-                panic("--mesh expects WxH with positive dimensions "
-                      "(got '%s')",
-                      spec.c_str());
-            p.meshWidth = w;
-            p.meshHeight = h;
+        const std::string spec = args.getString("mesh", "");
+        const size_t x = spec.find('x');
+        int w = 0;
+        int h = 0;
+        if (x != std::string::npos) {
+            w = std::atoi(spec.substr(0, x).c_str());
+            h = std::atoi(spec.substr(x + 1).c_str());
         }
-        if (args.has("shards")) {
-            const std::string spec = args.getString("shards", "");
-            const size_t x = spec.find('x');
-            int cols = 0;
-            int rows = 0;
-            if (x != std::string::npos) {
-                cols = std::atoi(spec.substr(0, x).c_str());
-                rows = std::atoi(spec.substr(x + 1).c_str());
-            } else {
-                // --shards N: factor into the most square CxR grid.
-                const int n = std::atoi(spec.c_str());
-                if (n >= 1) {
-                    for (int c = 1; c * c <= n; ++c) {
-                        if (n % c == 0) {
-                            cols = c;
-                            rows = n / c;
-                        }
-                    }
-                }
-            }
-            if (cols < 1 || rows < 1)
-                panic("--shards expects a positive count N or CxR "
-                      "(got '%s')",
-                      spec.c_str());
-            p.shardCols = cols;
-            p.shardRows = rows;
-            p.shardThreads =
-                static_cast<int>(args.getInt("threads", 0));
-        }
+        if (w < 1 || h < 1)
+            panic("--mesh expects WxH with positive dimensions "
+                  "(got '%s')",
+                  spec.c_str());
+        p.meshWidth = w;
+        p.meshHeight = h;
         net = std::make_unique<core::PhastlaneNetwork>(p);
     }
 
@@ -690,8 +653,7 @@ main(int argc, char **argv)
                 dynamic_cast<core::PhastlaneNetwork *>(net.get());
             if (!pl || !sim::batchable(*pl))
                 panic("--batch requires a batch-eligible optical "
-                      "configuration (no --shards, no --wavefront "
-                      "global)");
+                      "configuration (no --wavefront global)");
             if (args.getBool("metrics", false) ||
                 args.getBool("power", false) ||
                 args.getBool("heatmap", false))

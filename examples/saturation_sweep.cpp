@@ -19,9 +19,9 @@
 #include "check/checked_network.hpp"
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "sim/fault_sweep.hpp"
-#include "sim/parallel.hpp"
 #include "sim/sweep.hpp"
 
 using namespace phastlane;

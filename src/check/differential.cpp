@@ -623,6 +623,21 @@ defaultCampaign(int seeds_per_cell, Cycle cycles)
            [](StreamConfig &s) {
                s.patternOpts.hotspotFraction = 0.5;
            });
+
+    // A non-square mesh past 64 nodes: the default bit-plane engine
+    // runs on two plane words with mesh rows straddling the word
+    // boundary, under every fault knob and exponential backoff.
+    add("fault-backoff-12x9-d2", 12, 9, 4, 2, Pattern::UniformRandom,
+        0.20, 0.10, [](core::PhastlaneParams &p) {
+            p.exponentialBackoff = true;
+            p.backoffBase = 1;
+            p.faults.misTurnRate = 0.02;
+            p.faults.missedReceiveRate = 0.01;
+            p.faults.dropSignalLossRate = 0.01;
+            p.faults.dropperIdCorruptRate = 0.05;
+            p.faults.routerFailRate = 0.02;
+            p.faults.faultSeed = 37;
+        });
     return cells;
 }
 

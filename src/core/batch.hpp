@@ -50,12 +50,10 @@ class NetworkBatch
     NetworkBatch &operator=(const NetworkBatch &) = delete;
 
     /**
-     * True when @p net can join a batch: scalar engine only (no
-     * shards — the sharded path owns its own scratch and thread
-     * pool), no observer attached (the batch cycle does not replay
-     * the onCycleBegin/onCycleEnd hooks), and an FCFS wavefront
-     * (GlobalPriority is the ablation model and stays on the
-     * reference path).
+     * True when @p net can join a batch: no observer attached (the
+     * batch cycle does not replay the onCycleBegin/onCycleEnd hooks)
+     * and an FCFS wavefront (GlobalPriority is the ablation model and
+     * stays on the reference path).
      */
     static bool eligible(const PhastlaneNetwork &net);
 

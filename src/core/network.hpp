@@ -19,13 +19,11 @@
 #define PHASTLANE_CORE_NETWORK_HPP
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/geometry.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/bitplane.hpp"
 #include "core/control.hpp"
@@ -203,185 +201,6 @@ class PhastlaneNetwork : public Network
         size_t stop = 0; ///< index in entered of the local router
     };
 
-    // ---- Sharded engine (DESIGN.md §12) -------------------------
-    //
-    // The arrival-side logic (taps, delivery, buffering, drops) is
-    // shared between the scalar and sharded engines through a Sink
-    // policy. DirectSink applies every side effect immediately, in
-    // program order — the scalar engines. ShardSink accumulates
-    // counter deltas and merge-keyed effect lists per shard, so shard
-    // workers never touch shared order-sensitive state; a cycle-end
-    // k-way merge replays the effects in the exact scalar order.
-
-    /** Per-shard counter deltas and ordered side-effect streams. The
-     *  lists are pushed in nondecreasing merge-key order within a
-     *  shard, so the cycle-end merge is a linear k-way walk. */
-    struct ShardEffects {
-        OpticalEvents events;
-        PhastlaneCounters pl;
-        NetworkCounters counters;
-        int64_t outstandingDelta = 0;
-        std::vector<std::pair<uint64_t, Delivery>> deliveries;
-        std::vector<std::pair<uint64_t, EntryRef>> releases;
-        std::vector<std::pair<uint64_t, LaunchOutcome>> drops;
-
-        void clear()
-        {
-            events = OpticalEvents{};
-            pl = PhastlaneCounters{};
-            counters = NetworkCounters{};
-            outstandingDelta = 0;
-            deliveries.clear();
-            releases.clear();
-            drops.clear();
-        }
-    };
-
-    /** Scalar sink: every effect lands directly on network state. */
-    struct DirectSink {
-        PhastlaneNetwork &n;
-
-        OpticalEvents &events() { return n.events_; }
-        PhastlaneCounters &pl() { return n.pl_; }
-        NetworkCounters &counters() { return n.counters_; }
-
-        void deliver(const OpticalPacket &pkt, NodeId node)
-        {
-            n.deliver(pkt, node);
-        }
-        void noteLost(const OpticalPacket &pkt, NodeId router,
-                      int units, LostCause cause)
-        {
-            n.loseUnits(pkt, router, units, cause);
-        }
-        void release(const EntryRef &ref)
-        {
-            n.pendingReleases_.push_back(ref);
-        }
-        void dropOutcome(const EntryRef &ref, const OpticalPacket &pkt)
-        {
-            n.pendingDrops_.push_back(LaunchOutcome{ref, pkt});
-        }
-        void onDuplicate(const OpticalPacket &pkt, NodeId at)
-        {
-            if (n.observer_)
-                n.observer_->onDuplicate(pkt, at);
-        }
-        void onTap(const OpticalPacket &pkt, NodeId at)
-        {
-            if (n.observer_)
-                n.observer_->onTap(pkt, at);
-        }
-        void onBranchFinal(const OpticalPacket &pkt, NodeId at)
-        {
-            if (n.observer_)
-                n.observer_->onBranchFinal(pkt, at);
-        }
-        void onBufferReceive(const OpticalPacket &pkt, NodeId at,
-                             Port in, bool interim)
-        {
-            if (n.observer_)
-                n.observer_->onBufferReceive(pkt, at, in, interim);
-        }
-        void onDrop(const OpticalPacket &pkt, NodeId at,
-                    NodeId holder, int hops, bool lost)
-        {
-            if (n.observer_)
-                n.observer_->onDrop(pkt, at, holder, hops, lost);
-        }
-    };
-
-    /** Sharded sink: counter deltas plus keyed effect streams. The
-     *  observer hooks are no-ops because the sharded engine only runs
-     *  with no observer attached (useShardedStep()). */
-    struct ShardSink {
-        PhastlaneNetwork &n;
-        ShardEffects &fx;
-        /** Merge key of the effect being produced; the engine sets it
-         *  before each arrival / claim resolution. */
-        uint64_t key = 0;
-
-        OpticalEvents &events() { return fx.events; }
-        PhastlaneCounters &pl() { return fx.pl; }
-        NetworkCounters &counters() { return fx.counters; }
-
-        void deliver(const OpticalPacket &pkt, NodeId node)
-        {
-            Delivery d;
-            d.packet = pkt.base;
-            d.node = node;
-            d.at = n.cycle_;
-            d.acceptedAt = pkt.acceptedAt;
-            d.injectedAt = pkt.firstInjectedAt;
-            fx.deliveries.emplace_back(key, std::move(d));
-            ++fx.counters.deliveries;
-            --fx.outstandingDelta;
-        }
-        void noteLost(const OpticalPacket &, NodeId, int units,
-                      LostCause)
-        {
-            if (units > 0) {
-                fx.events.lostUnits += static_cast<uint64_t>(units);
-                fx.outstandingDelta -= units;
-            }
-        }
-        void release(const EntryRef &ref)
-        {
-            fx.releases.emplace_back(key, ref);
-        }
-        void dropOutcome(const EntryRef &ref, const OpticalPacket &pkt)
-        {
-            fx.drops.emplace_back(key, LaunchOutcome{ref, pkt});
-        }
-        void onDuplicate(const OpticalPacket &, NodeId) {}
-        void onTap(const OpticalPacket &, NodeId) {}
-        void onBranchFinal(const OpticalPacket &, NodeId) {}
-        void onBufferReceive(const OpticalPacket &, NodeId, Port, bool)
-        {
-        }
-        void onDrop(const OpticalPacket &, NodeId, NodeId, int, bool)
-        {
-        }
-    };
-
-    /** One spatial shard: a rectangle of routers with its own claim
-     *  planes, request chains and scratch (DESIGN.md §12). */
-    struct Shard {
-        Shard(int id_, const ShardGrid::Rect &r)
-            : id(id_), rect(r), claims(r.nodeCount()),
-              reqOnce(r.nodeCount()), reqMulti(r.nodeCount()),
-              reqWin(r.nodeCount())
-        {
-            const size_t flat =
-                static_cast<size_t>(r.nodeCount()) * kMeshPorts;
-            reqHead.assign(flat, 0);
-            reqTail.assign(flat, 0);
-            reqEpoch.assign(flat, 0);
-        }
-
-        int id;
-        ShardGrid::Rect rect;
-        /** Per-cycle claim planes over the shard's own routers,
-         *  indexed by local (within-rect, row-major) id. */
-        PortPlanes claims;
-        // Local-plane request state, as in the global bit-plane
-        // engine but over the shard rectangle.
-        PortPlanes reqOnce, reqMulti, reqWin;
-        std::vector<uint32_t> reqHead, reqTail, reqNext;
-        std::vector<uint64_t> reqEpoch;
-        uint64_t reqEpochCur = 0;
-        std::vector<PassRequest> requests;
-        /** (global active index, flight) pairs this shard owns in the
-         *  current sub-step, in global active-list order. */
-        std::vector<std::pair<uint32_t, uint32_t>> activeLocal;
-        /** (global flat port key, flight) winners for the next
-         *  sub-step, pushed in ascending key order. */
-        std::vector<std::pair<uint64_t, uint32_t>> next;
-        std::vector<Flight> launches;
-        ArbitrationScratch arb;
-        ShardEffects fx;
-    };
-
     Port desiredPort(NodeId at, const OpticalPacket &pkt) const;
     ControlProgram buildProgram(NodeId from,
                                 const OpticalPacket &pkt) const;
@@ -416,45 +235,6 @@ class PhastlaneNetwork : public Network
     /** Receive a blocked/interim packet into the input buffer or drop
      *  it; terminates the flight either way. */
     void receiveOrDrop(Flight &f, bool interim);
-
-    // Sink-parameterized bodies of the arrival-side logic, shared by
-    // the scalar engines (DirectSink) and the sharded engine
-    // (ShardSink); defined in network_impl.hpp.
-    template <typename Sink> bool handleArrivalT(Flight &f, Sink &s);
-    template <typename Sink>
-    void receiveOrDropT(Flight &f, bool interim, Sink &s);
-    template <typename Sink> void serveTapAtT(Flight &f, Sink &s);
-    template <typename Sink>
-    void deadRouterArrivalT(Flight &f, Sink &s);
-
-    // Sharded engine (network_sharded.cpp; DESIGN.md §12).
-
-    /** True when this step should run shard-parallel: sharding was
-     *  configured, no observer is attached (observers see the exact
-     *  scalar callback order), and the wavefront is one of the FCFS
-     *  models the sharded engine implements. */
-    bool useShardedStep() const;
-    void setupShards();
-    void stepSharded();
-    void shardNicToLocal(Shard &sh);
-    void shardLaunchPhase(Shard &sh);
-    void shardSubstep(Shard &sh, uint64_t substep);
-    /** applyPassWin against the shard-local claim planes. */
-    void applyShardPassWin(Shard &sh, size_t flight_idx, NodeId router,
-                           int local_router, Port out);
-    void mergeShardLaunches();
-    size_t mergeShardNext();
-    void mergeShardEffects();
-
-    /** Merge key: sub-step, then phase (0 = arrival handling, 1 =
-     *  claim resolution), then the scalar engine's within-phase
-     *  position. Cycle-end merging by this key replays per-shard
-     *  effects in the exact scalar order. */
-    static constexpr uint64_t effectKey(uint64_t substep,
-                                        uint64_t phase, uint64_t sub)
-    {
-        return (substep << 48) | (phase << 47) | sub;
-    }
 
     void deliver(const OpticalPacket &pkt, NodeId node);
     Cycle dropRetryCycle(int attempts);
@@ -555,13 +335,6 @@ class PhastlaneNetwork : public Network
     // cleared, never shrunk, so steady-state cycles allocate nothing.
     StepScratch ownScratch_;
     StepScratch *scratch_ = &ownScratch_;
-
-    // Sharded-engine state (DESIGN.md §12); unset when the params
-    // request a single shard or the grid clamps down to one.
-    std::unique_ptr<ShardGrid> shardGrid_;
-    std::vector<Shard> shards_;
-    std::unique_ptr<ThreadPool> pool_;
-    std::vector<uint32_t> mergeCursor_;
 
     NetworkCounters counters_;
     PhastlaneCounters pl_;

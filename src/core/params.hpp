@@ -122,25 +122,6 @@ struct PhastlaneParams {
     /** Cap on the exponential backoff window (cycles). */
     int backoffCap = 64;
 
-    /**
-     * Spatial shard grid for the topology-parallel step() (DESIGN.md
-     * §12): the router grid splits into shardCols x shardRows
-     * rectangular blocks, each with its own claim planes and scratch
-     * state, and the launch/wavefront phases run shard-parallel with a
-     * deterministic boundary-exchange merge. 1x1 (the default) is the
-     * plain scalar path. Results are bit-identical to the scalar path
-     * at any shard/thread count; runs with an attached StepObserver or
-     * the GlobalPriority wavefront fall back to the scalar engine
-     * (observers see exact scalar callback order).
-     */
-    int shardCols = 1;
-    int shardRows = 1;
-
-    /** Worker threads for the sharded step; <= 0 resolves via
-     *  PL_THREADS, then hardware concurrency (capped at the shard
-     *  count). The thread count never affects results. */
-    int shardThreads = 0;
-
     WavefrontModel wavefront = WavefrontModel::BitplaneFcfs;
     OpticalArbitration opticalArbitration =
         OpticalArbitration::FixedPriority;
@@ -242,7 +223,6 @@ struct PhastlaneParams {
 
     bool infiniteBuffers() const { return routerBufferEntries <= 0; }
     int nodeCount() const { return meshWidth * meshHeight; }
-    int shardCount() const { return shardCols * shardRows; }
 };
 
 /** Fault classes drawn through faultRoll (DESIGN.md §10). */

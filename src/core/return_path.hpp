@@ -20,7 +20,6 @@
 #ifndef PHASTLANE_CORE_RETURN_PATH_HPP
 #define PHASTLANE_CORE_RETURN_PATH_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -78,16 +77,10 @@ class ReturnPathRegistry
     }
 
     /** Reverse links claimed by drop signals this cycle. */
-    uint64_t claimedLinks() const
-    {
-        return claimed_.load(std::memory_order_relaxed);
-    }
+    uint64_t claimedLinks() const { return claimed_; }
 
     /** Reverse connections latched this cycle. */
-    uint64_t latchedHops() const
-    {
-        return latched_.load(std::memory_order_relaxed);
-    }
+    uint64_t latchedHops() const { return latched_; }
 
   private:
     size_t index(NodeId router, Port out) const;
@@ -104,14 +97,8 @@ class ReturnPathRegistry
     /** Epoch of the drop-signal claim per (router, packet-out port). */
     std::vector<uint64_t> used_;
     uint64_t epoch_ = 1;
-    /**
-     * Counters are relaxed atomics: under the sharded step(), hops are
-     * latched and drops signaled concurrently from shard workers. The
-     * table writes themselves are race-free (one packet per (router,
-     * out) per cycle — footnote 4), but the tallies are shared sums.
-     */
-    std::atomic<uint64_t> claimed_{0};
-    std::atomic<uint64_t> latched_{0};
+    uint64_t claimed_ = 0;
+    uint64_t latched_ = 0;
 };
 
 } // namespace phastlane::core

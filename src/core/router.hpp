@@ -271,8 +271,8 @@ class RouterBuffers
     /** Admission policy (DESIGN.md §14): TokenBucket throttles
      *  local-queue (source-originated) launches through bucket_;
      *  transit queues are never throttled. Per-router state keeps the
-     *  sharded and batched engines race-free: the consume() sequence
-     *  is exactly the arbitration scan order. */
+     *  batched engine race-free: the consume() sequence is exactly
+     *  the arbitration scan order. */
     AdmissionPolicy admission_ = AdmissionPolicy::None;
     int admissionBurst_ = 0;
     int admissionPeriod_ = 1;

@@ -4,10 +4,10 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "obs/observe.hpp"
 #include "sim/multisim.hpp"
-#include "sim/parallel.hpp"
 
 namespace phastlane::sim {
 
@@ -81,7 +81,7 @@ runExperiment(const ExperimentSpec &spec)
         run.benchmark = profiles[b].name;
         run.config = spec.configs[c];
         // Each cell records into its own registry so parallel
-        // shards never share observer state.
+        // cells never share observer state.
         std::optional<obs::MetricsObserver> observer;
         auto *pl = dynamic_cast<core::PhastlaneNetwork *>(
             net.get());

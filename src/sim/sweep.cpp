@@ -5,10 +5,10 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "obs/observe.hpp"
 #include "sim/multisim.hpp"
-#include "sim/parallel.hpp"
 
 namespace phastlane::sim {
 
@@ -140,7 +140,7 @@ runPoint(const NetConfig &config, const SweepConfig &sweep,
     traffic::SyntheticDriver driver(*net, cfg);
     SweepPoint pt;
     pt.injectionRate = rate;
-    // Each point records into its own registry so parallel shards
+    // Each point records into its own registry so parallel points
     // never share observer state; runSweep merges them in rate order.
     std::optional<obs::MetricsObserver> observer;
     auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
@@ -201,8 +201,8 @@ class SweepJob final : public MultiSim::Job
 
 /** Batched serial sweep: gangs of SweepJobs in rate order. Returns
  *  nullopt when the configuration cannot batch (metrics collection
- *  wants an observer; shards / GlobalPriority / non-Phastlane nets
- *  take the per-instance path). */
+ *  wants an observer; GlobalPriority / non-Phastlane nets take the
+ *  per-instance path). */
 std::optional<std::vector<SweepPoint>>
 runSweepBatched(const NetConfig &config, const SweepConfig &sweep)
 {

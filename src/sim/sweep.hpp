@@ -47,17 +47,17 @@ struct SweepConfig {
 
     /** Simulation threads for the sweep points: 0 = auto (PL_THREADS
      *  env, else hardware concurrency), 1 = serial. Results are
-     *  bit-identical across thread counts (see sim/parallel.hpp). */
+     *  bit-identical across thread counts (see common/parallel.hpp). */
     int threads = 0;
 
-    /** Collect per-point obs metrics (each shard records into its own
+    /** Collect per-point obs metrics (each point records into its own
      *  registry; merge with mergedMetrics() for run totals). */
     bool collectMetrics = false;
 
     /** Batched lockstep backend (DESIGN.md §13): gang size for
      *  stepping many points' networks through one NetworkBatch when
      *  the sweep runs serially (resolved threads == 1) and the
-     *  configuration is batch-eligible (no shards, no observers, FCFS
+     *  configuration is batch-eligible (no observers, FCFS
      *  wavefront). 0 = auto (MultiSim::kDefaultBatch), 1 = disable,
      *  > 1 = explicit gang size. Results are bit-identical to the
      *  serial path. */
@@ -108,7 +108,7 @@ double saturationThroughput(const std::vector<SweepPoint> &points);
 
 /**
  * Merge every point's metrics registry in point (rate) order. Because
- * each shard records into its own registry and the merge order is
+ * each point records into its own registry and the merge order is
  * fixed, the result is identical at any thread count.
  */
 obs::MetricsRegistry

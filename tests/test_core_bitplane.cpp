@@ -298,77 +298,90 @@ TEST(BitPlaneMeshShift, PopcountAccountsForEdgeDrops)
     }
 }
 
+/** One seed of the differential campaign below on a width x height
+ *  mesh, injecting for @p cycles and then draining. */
+void
+expectBitplaneMatchesFcfs(int width, int height, int cycles, int seed)
+{
+    SCOPED_TRACE(testing::Message()
+                 << width << "x" << height << " seed " << seed);
+    std::map<PacketId, Cycle> delivered[2];
+    struct Counts {
+        uint64_t deliveries, drops, launches, receives,
+            retransmissions, blocked;
+    } counts[2];
+    const WavefrontModel models[2] = {WavefrontModel::SubstepFcfs,
+                                      WavefrontModel::BitplaneFcfs};
+    for (int m = 0; m < 2; ++m) {
+        PhastlaneParams p;
+        p.meshWidth = width;
+        p.meshHeight = height;
+        p.wavefront = models[m];
+        p.routerBufferEntries = 4;
+        p.seed = 1000 + seed;
+        PhastlaneNetwork net(p);
+        Rng rng(500 + seed);
+        PacketId id = 1;
+        for (int cyc = 0; cyc < cycles; ++cyc) {
+            for (NodeId n = 0; n < net.nodeCount(); ++n) {
+                if (!rng.bernoulli(0.10))
+                    continue;
+                Packet pkt;
+                pkt.id = id++;
+                pkt.src = n;
+                if (rng.bernoulli(0.06)) {
+                    pkt.broadcast = true;
+                } else {
+                    NodeId d = static_cast<NodeId>(
+                        rng.uniformInt(0, net.nodeCount() - 1));
+                    pkt.dst = d == n ? (d + 1) % net.nodeCount() : d;
+                }
+                net.inject(pkt);
+            }
+            net.step();
+            for (const auto &d : net.deliveries())
+                delivered[m][d.packet.id] = d.at;
+        }
+        int guard = 0;
+        while (net.inFlight() > 0 && guard++ < 200000) {
+            net.step();
+            for (const auto &d : net.deliveries())
+                delivered[m][d.packet.id] = d.at;
+        }
+        ASSERT_EQ(net.inFlight(), 0u);
+        counts[m] = Counts{net.counters().deliveries,
+                           net.events().drops,
+                           net.events().launches,
+                           net.events().receives,
+                           net.events().retransmissions,
+                           net.phastlaneCounters().blockedBuffered};
+    }
+    EXPECT_EQ(delivered[0], delivered[1]);
+    EXPECT_EQ(counts[0].deliveries, counts[1].deliveries);
+    EXPECT_EQ(counts[0].drops, counts[1].drops);
+    EXPECT_EQ(counts[0].launches, counts[1].launches);
+    EXPECT_EQ(counts[0].receives, counts[1].receives);
+    EXPECT_EQ(counts[0].retransmissions, counts[1].retransmissions);
+    EXPECT_EQ(counts[0].blocked, counts[1].blocked);
+}
+
 /**
  * Whole-network differential campaign: the bit-plane engine must be
  * bit-identical to the scalar SubstepFcfs reference — same delivery
  * cycles per packet and same event counters — across randomized
- * mixed unicast/broadcast workloads. PL_CHECK_LONG=1 widens the
- * campaign from 4 to 16 seeds.
+ * mixed unicast/broadcast workloads. The mesh shape is an input too:
+ * 8x8 fills exactly one plane word, 9x7 leaves a ragged tail word,
+ * and 32x32 spans 16 words with mesh rows packed across word
+ * boundaries (a short injection window keeps tier-1 time flat).
+ * PL_CHECK_LONG=1 widens the campaign from 4 to 16 seeds.
  */
 TEST(BitplaneDifferential, MatchesScalarFcfsAcrossRandomWorkloads)
 {
     const int seeds = longCampaign() ? 16 : 4;
     for (int seed = 1; seed <= seeds; ++seed) {
-        std::map<PacketId, Cycle> delivered[2];
-        struct Counts {
-            uint64_t deliveries, drops, launches, receives,
-                retransmissions, blocked;
-        } counts[2];
-        const WavefrontModel models[2] = {
-            WavefrontModel::SubstepFcfs,
-            WavefrontModel::BitplaneFcfs};
-        for (int m = 0; m < 2; ++m) {
-            PhastlaneParams p;
-            p.wavefront = models[m];
-            p.routerBufferEntries = 4;
-            p.seed = 1000 + seed;
-            PhastlaneNetwork net(p);
-            Rng rng(500 + seed);
-            PacketId id = 1;
-            for (int cyc = 0; cyc < 120; ++cyc) {
-                for (NodeId n = 0; n < net.nodeCount(); ++n) {
-                    if (!rng.bernoulli(0.10))
-                        continue;
-                    Packet pkt;
-                    pkt.id = id++;
-                    pkt.src = n;
-                    if (rng.bernoulli(0.06)) {
-                        pkt.broadcast = true;
-                    } else {
-                        NodeId d = static_cast<NodeId>(rng.uniformInt(
-                            0, net.nodeCount() - 1));
-                        pkt.dst = d == n
-                                      ? (d + 1) % net.nodeCount()
-                                      : d;
-                    }
-                    net.inject(pkt);
-                }
-                net.step();
-                for (const auto &d : net.deliveries())
-                    delivered[m][d.packet.id] = d.at;
-            }
-            int guard = 0;
-            while (net.inFlight() > 0 && guard++ < 200000) {
-                net.step();
-                for (const auto &d : net.deliveries())
-                    delivered[m][d.packet.id] = d.at;
-            }
-            ASSERT_EQ(net.inFlight(), 0u) << "seed " << seed;
-            counts[m] = Counts{net.counters().deliveries,
-                               net.events().drops,
-                               net.events().launches,
-                               net.events().receives,
-                               net.events().retransmissions,
-                               net.phastlaneCounters().blockedBuffered};
-        }
-        EXPECT_EQ(delivered[0], delivered[1]) << "seed " << seed;
-        EXPECT_EQ(counts[0].deliveries, counts[1].deliveries);
-        EXPECT_EQ(counts[0].drops, counts[1].drops);
-        EXPECT_EQ(counts[0].launches, counts[1].launches);
-        EXPECT_EQ(counts[0].receives, counts[1].receives);
-        EXPECT_EQ(counts[0].retransmissions,
-                  counts[1].retransmissions);
-        EXPECT_EQ(counts[0].blocked, counts[1].blocked);
+        expectBitplaneMatchesFcfs(8, 8, 120, seed);
+        expectBitplaneMatchesFcfs(9, 7, 120, seed);
+        expectBitplaneMatchesFcfs(32, 32, 24, seed);
     }
 }
 

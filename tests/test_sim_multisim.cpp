@@ -381,20 +381,14 @@ TEST(MultiSimDifferential, BothFcfsWavefrontModels)
     }
 }
 
-/** Eligibility rules (DESIGN.md §13): sharded engines, attached
- *  observers, and the GlobalPriority ablation are not batchable and
- *  must fall back per-instance in the sweep drivers. */
-TEST(MultiSimEligibility, RejectsShardsObserversAndGlobalPriority)
+/** Eligibility rules (DESIGN.md §13): attached observers and the
+ *  GlobalPriority ablation are not batchable and must fall back
+ *  per-instance in the sweep drivers. */
+TEST(MultiSimEligibility, RejectsObserversAndGlobalPriority)
 {
     core::PhastlaneNetwork plain(baseParams(4, 4, 1));
     EXPECT_TRUE(batchable(plain));
     EXPECT_TRUE(core::NetworkBatch::eligible(plain));
-
-    core::PhastlaneParams sharded = baseParams(4, 4, 1);
-    sharded.shardCols = 2;
-    sharded.shardRows = 2;
-    core::PhastlaneNetwork shardedNet(sharded);
-    EXPECT_FALSE(batchable(shardedNet));
 
     core::PhastlaneParams global = baseParams(4, 4, 1);
     global.wavefront = core::WavefrontModel::GlobalPriority;
