@@ -18,12 +18,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "check/checked_network.hpp"
 #include "common/config.hpp"
+#include "common/geometry.hpp"
 #include "common/log.hpp"
 #include "core/network.hpp"
 #include "core/observer.hpp"
@@ -203,31 +203,47 @@ class ReliableNetwork : public Network
 };
 
 /**
- * One replicated synthetic instance under --batch: its own network
- * (seed offset into the replica index) and step-wise SyntheticDriver
- * (DESIGN.md §13).
+ * Apply --wavefront (the contention engine, DESIGN.md §11: bitplane
+ * = word-parallel FCFS, the default; fcfs = the scalar reference;
+ * global = the eviction-priority ablation) and --mesh WxH onto @p p.
+ * Both need an optical configuration. Returns true when either flag
+ * was given.
  */
-class BatchSyntheticJob final : public sim::MultiSim::Job
+bool
+applyEngineFlags(const Config &args, bool optical,
+                 core::PhastlaneParams &p)
 {
-  public:
-    BatchSyntheticJob(std::unique_ptr<core::PhastlaneNetwork> net,
-                      const traffic::SyntheticConfig &sc)
-        : net_(std::move(net)), driver_(*net_, sc)
-    {
-        driver_.begin();
+    bool any = false;
+    if (args.has("wavefront")) {
+        const std::string name = args.getString("wavefront", "");
+        if (name == "bitplane")
+            p.wavefront = core::WavefrontModel::BitplaneFcfs;
+        else if (name == "fcfs")
+            p.wavefront = core::WavefrontModel::SubstepFcfs;
+        else if (name == "global")
+            p.wavefront = core::WavefrontModel::GlobalPriority;
+        else
+            panic("--wavefront expects bitplane, fcfs or global "
+                  "(got '%s')",
+                  name.c_str());
+        if (!optical)
+            panic("--wavefront supports optical (Phastlane) "
+                  "configurations only");
+        any = true;
     }
-
-    core::PhastlaneNetwork &network() override { return *net_; }
-    bool done() override { return driver_.done(); }
-    void preStep() override { driver_.preStep(); }
-    void postStep() override { driver_.postStep(); }
-
-    traffic::SyntheticResult finish() { return driver_.finish(); }
-
-  private:
-    std::unique_ptr<core::PhastlaneNetwork> net_;
-    traffic::SyntheticDriver driver_;
-};
+    if (args.has("mesh")) {
+        if (!optical)
+            panic("--mesh supports optical (Phastlane) configurations "
+                  "only");
+        const std::string spec = args.getString("mesh", "");
+        if (!parseMeshSpec(spec, p.meshWidth, p.meshHeight))
+            panic("--mesh expects WxH with positive dimensions "
+                  "(got '%s')",
+                  spec.c_str());
+        any = true;
+    }
+    return any;
+}
 
 std::vector<std::string>
 knownFlags()
@@ -326,7 +342,9 @@ main(int argc, char **argv)
             "delivered/latency/starvation CSV\n"
             "  fault sweep (writes JSON and exits):\n"
             "    --fault-sweep-out F.json [--fault-field NAME]\n"
-            "    [--fault-max R --fault-steps N] [--threads N]\n"
+            "    [--fault-max R --fault-steps N] [--threads N] "
+            "[--batch B]\n"
+            "    [--mesh WxH] [--wavefront M] apply to every point\n"
             "  configs: Optical4/5/8, Optical4B32/B64/IB, "
             "Electrical2/3\n");
         return 0;
@@ -354,6 +372,7 @@ main(int argc, char **argv)
         sim::FaultSweepConfig fs;
         fs.params = pl->params();
         probe.reset();
+        applyEngineFlags(args, true, fs.params);
         sim::applyFaultFlags(args, fs.params.faults);
         fs.sweepField =
             args.getString("fault-field", "dropSignalLossRate");
@@ -408,54 +427,14 @@ main(int argc, char **argv)
 
     auto net = cfg.make(seed);
 
-    // --wavefront selects the contention engine (DESIGN.md §11):
-    // bitplane (word-parallel FCFS, default), fcfs (the scalar
-    // reference), or global (the eviction-priority ablation).
-    if (args.has("wavefront")) {
-        const std::string name = args.getString("wavefront", "");
-        core::WavefrontModel model;
-        if (name == "bitplane")
-            model = core::WavefrontModel::BitplaneFcfs;
-        else if (name == "fcfs")
-            model = core::WavefrontModel::SubstepFcfs;
-        else if (name == "global")
-            model = core::WavefrontModel::GlobalPriority;
-        else
-            panic("--wavefront expects bitplane, fcfs or global "
-                  "(got '%s')",
-                  name.c_str());
+    // --wavefront / --mesh rebuild the network before any observer
+    // attaches.
+    {
         auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
-        if (!pl)
-            panic("--wavefront supports optical (Phastlane) "
-                  "configurations only");
-        core::PhastlaneParams p = pl->params();
-        p.wavefront = model;
-        net = std::make_unique<core::PhastlaneNetwork>(p);
-    }
-
-    // --mesh WxH resizes the router grid, rebuilding the network
-    // before any observer attaches.
-    if (args.has("mesh")) {
-        auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
-        if (!pl)
-            panic("--mesh supports optical (Phastlane) configurations "
-                  "only");
-        core::PhastlaneParams p = pl->params();
-        const std::string spec = args.getString("mesh", "");
-        const size_t x = spec.find('x');
-        int w = 0;
-        int h = 0;
-        if (x != std::string::npos) {
-            w = std::atoi(spec.substr(0, x).c_str());
-            h = std::atoi(spec.substr(x + 1).c_str());
-        }
-        if (w < 1 || h < 1)
-            panic("--mesh expects WxH with positive dimensions "
-                  "(got '%s')",
-                  spec.c_str());
-        p.meshWidth = w;
-        p.meshHeight = h;
-        net = std::make_unique<core::PhastlaneNetwork>(p);
+        core::PhastlaneParams p =
+            pl ? pl->params() : core::PhastlaneParams{};
+        if (applyEngineFlags(args, pl != nullptr, p))
+            net = std::make_unique<core::PhastlaneNetwork>(p);
     }
 
     // Fault flags rebuild the optical network with the requested
@@ -659,39 +638,38 @@ main(int argc, char **argv)
                 args.getBool("heatmap", false))
                 warn("--batch reports per-seed summaries only; "
                      "--metrics/--power/--heatmap are skipped");
-            std::vector<std::unique_ptr<BatchSyntheticJob>> jobs;
-            sim::MultiSim ms(batch);
-            for (int i = 0; i < batch; ++i) {
-                core::PhastlaneParams p = pl->params();
-                p.seed = seed + static_cast<uint64_t>(i);
-                traffic::SyntheticConfig si = sc;
-                si.seed = seed + static_cast<uint64_t>(i);
-                jobs.push_back(
-                    std::make_unique<BatchSyntheticJob>(
-                        std::make_unique<core::PhastlaneNetwork>(p),
-                        si));
-                ms.add(*jobs.back());
-            }
-            ms.runAll();
+            using SynthJob = sim::DriverJob<traffic::SyntheticDriver>;
             double offered = 0.0;
             double accepted = 0.0;
             double latency = 0.0;
             int saturated = 0;
-            for (int i = 0; i < batch; ++i) {
-                const auto r = jobs[i]->finish();
-                std::printf(
-                    "seed %llu: offered %.4f accepted %.4f "
-                    "pkt/node/cycle, avg latency %.1f (p99 %.1f)%s\n",
-                    static_cast<unsigned long long>(
-                        seed + static_cast<uint64_t>(i)),
-                    r.offeredRate, r.acceptedRate, r.avgLatency,
-                    r.p99Latency,
-                    r.saturated ? " [saturated]" : "");
-                offered += r.offeredRate;
-                accepted += r.acceptedRate;
-                latency += r.avgLatency;
-                saturated += r.saturated ? 1 : 0;
-            }
+            sim::runJobs(
+                static_cast<size_t>(batch), 1, batch,
+                [&](size_t i) {
+                    core::PhastlaneParams p = pl->params();
+                    p.seed = seed + i;
+                    traffic::SyntheticConfig si = sc;
+                    si.seed = seed + i;
+                    return std::make_unique<SynthJob>(
+                        std::make_unique<core::PhastlaneNetwork>(p), si);
+                },
+                [&](size_t i, sim::MultiSim::Job &job) {
+                    const auto r =
+                        static_cast<SynthJob &>(job).driver().finish();
+                    std::printf(
+                        "seed %llu: offered %.4f accepted %.4f "
+                        "pkt/node/cycle, avg latency %.1f (p99 %.1f)%s\n",
+                        static_cast<unsigned long long>(seed + i),
+                        r.offeredRate, r.acceptedRate, r.avgLatency,
+                        r.p99Latency,
+                        r.saturated ? " [saturated]" : "");
+                    offered += r.offeredRate;
+                    accepted += r.acceptedRate;
+                    latency += r.avgLatency;
+                    saturated += r.saturated ? 1 : 0;
+                    return true;
+                },
+                false);
             std::printf(
                 "batch %d aggregate: offered %.4f accepted %.4f "
                 "pkt/node/cycle, mean latency %.1f "

@@ -66,6 +66,7 @@
 #include <unistd.h>
 
 #include "common/config.hpp"
+#include "common/geometry.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/network.hpp"
@@ -153,20 +154,11 @@ buildNetwork(const Config &args)
             fatal("--mesh supports optical (Phastlane) "
                   "configurations only");
         const std::string spec = args.getString("mesh", "");
-        const size_t x = spec.find('x');
-        int w = 0;
-        int h = 0;
-        if (x != std::string::npos) {
-            w = std::atoi(spec.substr(0, x).c_str());
-            h = std::atoi(spec.substr(x + 1).c_str());
-        }
-        if (w < 1 || h < 1)
+        core::PhastlaneParams p = pl->params();
+        if (!parseMeshSpec(spec, p.meshWidth, p.meshHeight))
             fatal("--mesh expects WxH with positive dimensions "
                   "(got '%s')",
                   spec.c_str());
-        core::PhastlaneParams p = pl->params();
-        p.meshWidth = w;
-        p.meshHeight = h;
         net = std::make_unique<core::PhastlaneNetwork>(p);
     }
     return net;

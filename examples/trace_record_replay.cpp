@@ -7,10 +7,17 @@
  * same trace files used for our optical simulator".
  *
  *   ./examples/trace_record_replay [--benchmark FFT] [--txns 60]
- *       [--trace /tmp/phastlane.trace]
+ *       [--trace FILE]
+ *
+ * Without --trace the trace goes to a fresh mkstemp() file under
+ * $TMPDIR (default /tmp), removed on exit.
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
@@ -30,8 +37,19 @@ main(int argc, char **argv)
     SplashProfile prof =
         splashProfile(args.getString("benchmark", "FFT"));
     prof.txnsPerNode = static_cast<int>(args.getInt("txns", 60));
-    const std::string trace_path =
-        args.getString("trace", "/tmp/phastlane.trace");
+    std::string trace_path = args.getString("trace", "");
+    const bool own_trace = trace_path.empty();
+    if (own_trace) {
+        const char *dir = std::getenv("TMPDIR");
+        std::string tmpl = std::string(dir && *dir ? dir : "/tmp") +
+                           "/phastlane_trace_XXXXXX";
+        const int fd = mkstemp(tmpl.data());
+        if (fd < 0)
+            fatal("cannot create a temporary trace file from %s",
+                  tmpl.c_str());
+        close(fd);
+        trace_path = tmpl;
+    }
     const uint64_t seed =
         static_cast<uint64_t>(args.getInt("seed", 7));
 
@@ -73,5 +91,7 @@ main(int argc, char **argv)
                   TextTable::num(r.avgLatency, 1)});
     }
     t.print();
+    if (own_trace)
+        std::remove(trace_path.c_str());
     return 0;
 }

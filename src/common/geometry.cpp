@@ -1,5 +1,8 @@
 #include "common/geometry.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "common/log.hpp"
 
 namespace phastlane {
@@ -43,6 +46,36 @@ MeshTopology::xyPath(NodeId src, NodeId dst) const
         path.push_back(at);
     }
     return path;
+}
+
+bool
+parseMeshSpec(const std::string &spec, int &width, int &height)
+{
+    constexpr uint64_t kMaxNodes = static_cast<uint64_t>(
+        std::numeric_limits<NodeId>::max());
+    uint64_t dims[2] = {0, 0};
+    size_t at = 0;
+    for (int d = 0; d < 2; ++d) {
+        if (d == 1) {
+            if (at >= spec.size() || spec[at] != 'x')
+                return false;
+            ++at;
+        }
+        const size_t first = at;
+        while (at < spec.size() && spec[at] >= '0' && spec[at] <= '9') {
+            dims[d] = dims[d] * 10 + static_cast<uint64_t>(spec[at] - '0');
+            if (dims[d] > kMaxNodes)
+                return false; // also stops the accumulator overflowing
+            ++at;
+        }
+        if (at == first || dims[d] == 0)
+            return false;
+    }
+    if (at != spec.size() || dims[0] * dims[1] > kMaxNodes)
+        return false;
+    width = static_cast<int>(dims[0]);
+    height = static_cast<int>(dims[1]);
+    return true;
 }
 
 } // namespace phastlane

@@ -13,6 +13,7 @@
 #define PHASTLANE_COMMON_GEOMETRY_HPP
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/log.hpp"
@@ -137,6 +138,15 @@ class MeshTopology
     int width_;
     int height_;
 };
+
+/**
+ * Parse a mesh shape "WxH" (e.g. "8x8", "32x16") into @p width and
+ * @p height. Strict: both fields must be plain decimal digits with a
+ * lower-case 'x' between them and nothing else, both must be at
+ * least 1, and the node count W*H must fit a NodeId. Returns false
+ * (leaving the outputs untouched) on any other input.
+ */
+bool parseMeshSpec(const std::string &spec, int &width, int &height);
 
 } // namespace phastlane
 

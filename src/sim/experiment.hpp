@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "obs/metrics.hpp"
 #include "power/energy_params.hpp"
 #include "sim/configs.hpp"
 #include "traffic/coherence.hpp"
@@ -29,11 +28,6 @@ struct BenchmarkRun {
     traffic::CoherenceResult result;
     power::PowerBreakdown power;
     uint64_t drops = 0; ///< optical configurations only
-
-    /** Per-cell observability metrics; populated only when
-     *  ExperimentSpec::collectMetrics is set and the configuration is
-     *  a PhastlaneNetwork (empty otherwise). */
-    obs::MetricsRegistry metrics;
 };
 
 /** Experiment specification. */
@@ -58,16 +52,12 @@ struct ExperimentSpec {
      *  Results are bit-identical across thread counts. */
     int threads = 0;
 
-    /** Collect per-cell obs metrics (each grid cell records into its
-     *  own registry; merge with mergedMetrics() for run totals). */
-    bool collectMetrics = false;
-
     /** Batched lockstep backend (DESIGN.md §13): gang size for
      *  stepping the grid's batch-eligible cells through one
      *  NetworkBatch when the grid runs serially (resolved threads ==
-     *  1). Ineligible cells (electrical configs, metrics collection)
-     *  fall back per-instance. 0 = auto, 1 = disable, > 1 = explicit
-     *  gang size. Results are bit-identical to the serial path. */
+     *  1). Ineligible cells (electrical configs) run alone. 0 = auto,
+     *  1 = disable, > 1 = explicit gang size. Results are
+     *  bit-identical to the serial path. */
     int batch = 0;
 };
 
@@ -98,14 +88,6 @@ TextTable speedupTable(const ExperimentSpec &spec,
 /** Benchmark-by-configuration total-power table (Fig 11 layout). */
 TextTable powerTable(const ExperimentSpec &spec,
                      const std::vector<BenchmarkRun> &runs);
-
-/**
- * Merge every run's metrics registry in grid order (benchmark-major,
- * configs in specification order). Deterministic at any thread count
- * because each cell records into its own registry.
- */
-obs::MetricsRegistry
-mergedMetrics(const std::vector<BenchmarkRun> &runs);
 
 } // namespace phastlane::sim
 

@@ -253,19 +253,6 @@ class FaultPointJob final : public MultiSim::Job
     bool measuring_ = true;
 };
 
-/** Simulate one sweep point serially (the parallel-path worker). */
-FaultSweepPoint
-runFaultPoint(const FaultSweepConfig &cfg, size_t index)
-{
-    FaultPointJob job(cfg, index);
-    while (!job.done()) {
-        job.preStep();
-        job.network().step();
-        job.postStep();
-    }
-    return job.finishPoint();
-}
-
 void
 appendF(std::string &out, const char *fmt, ...)
 {
@@ -282,36 +269,15 @@ appendF(std::string &out, const char *fmt, ...)
 std::vector<FaultSweepPoint>
 runFaultSweep(const FaultSweepConfig &cfg)
 {
-    const size_t n = cfg.rates.size();
-    std::vector<FaultSweepPoint> points(n);
-
-    // Serial sweep: gang the points' networks through the batched
-    // lockstep backend when the params allow it (bit-identical
-    // results; see DESIGN.md §13). Fault rates and seeds differ per
-    // point but never the mesh shape or engine configuration.
-    if (resolveThreadCount(cfg.threads) <= 1 && cfg.batch != 1 &&
-        n > 1) {
-        std::vector<std::unique_ptr<FaultPointJob>> jobs;
-        jobs.reserve(n);
-        bool all_eligible = true;
-        for (size_t i = 0; i < n && all_eligible; ++i) {
-            jobs.push_back(std::make_unique<FaultPointJob>(cfg, i));
-            all_eligible = batchable(jobs.back()->network());
-        }
-        if (all_eligible) {
-            MultiSim ms(cfg.batch);
-            for (auto &job : jobs)
-                ms.add(*job);
-            ms.runAll();
-            for (size_t i = 0; i < n; ++i)
-                points[i] = jobs[i]->finishPoint();
-            return points;
-        }
-    }
-
-    parallelFor(
-        n, [&](size_t i) { points[i] = runFaultPoint(cfg, i); },
-        cfg.threads);
+    std::vector<FaultSweepPoint> points(cfg.rates.size());
+    runJobs(
+        points.size(), cfg.threads, cfg.batch,
+        [&](size_t i) { return std::make_unique<FaultPointJob>(cfg, i); },
+        [&](size_t i, MultiSim::Job &job) {
+            points[i] = static_cast<FaultPointJob &>(job).finishPoint();
+            return true;
+        },
+        false);
     return points;
 }
 

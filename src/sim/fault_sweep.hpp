@@ -6,10 +6,10 @@
  * suppression, and loss respond — with or without the end-to-end
  * reliability layer (core::ReliableNic).
  *
- * Points are independent simulations parallelised with parallelFor;
- * every point derives its fault and traffic seeds from the campaign
- * seed and the point index, so the sweep is bit-identical at any
- * thread count.
+ * Points are independent simulations run by sim::runJobs (ganged,
+ * alone or in parallel); every point derives its fault and traffic
+ * seeds from the campaign seed and the point index, so the sweep is
+ * bit-identical at any thread count and gang size.
  */
 
 #ifndef PHASTLANE_SIM_FAULT_SWEEP_HPP

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "core/network.hpp"
+#include "common/parallel.hpp"
 
 namespace phastlane::sim {
 
@@ -51,9 +51,10 @@ MultiSim::runAll()
 void
 MultiSim::runGang(const std::vector<Job *> &gang)
 {
+    // add() checked batchable(), so every network is a Phastlane one.
     core::NetworkBatch batch;
     for (Job *j : gang)
-        batch.attach(j->network());
+        batch.attach(static_cast<core::PhastlaneNetwork &>(j->network()));
 
     // Round-robin in quanta of kCycleQuantum cycles per instance: the
     // gang still advances together (no instance runs ahead by more
@@ -81,6 +82,92 @@ MultiSim::runGang(const std::vector<Job *> &gang)
         }
     }
     batch.detachAll();
+}
+
+namespace {
+
+/** The serial driver loop: step @p job alone until it is done. */
+void
+runAlone(MultiSim::Job &job)
+{
+    Network &net = job.network();
+    while (!job.done()) {
+        job.preStep();
+        net.step();
+        job.postStep();
+    }
+}
+
+} // namespace
+
+size_t
+runJobs(size_t n, int threads, int batch, const MakeJob &make,
+        const FinishJob &finish, bool may_stop)
+{
+    const int t = resolveThreadCount(threads);
+    if (t > 1 && n > 1) {
+        const size_t wave = may_stop ? static_cast<size_t>(t) : n;
+        for (size_t start = 0; start < n; start += wave) {
+            const size_t m = std::min(wave, n - start);
+            std::vector<uint8_t> keep(m, 1);
+            parallelFor(
+                m,
+                [&](size_t k) {
+                    auto job = make(start + k);
+                    runAlone(*job);
+                    keep[k] = finish(start + k, *job) ? 1 : 0;
+                },
+                t);
+            for (size_t k = 0; k < m; ++k) {
+                if (!keep[k])
+                    return start + k + 1;
+            }
+        }
+        return n;
+    }
+
+    if (batch == 1 || n <= 1) {
+        for (size_t i = 0; i < n; ++i) {
+            auto job = make(i);
+            runAlone(*job);
+            if (!finish(i, *job))
+                return i + 1;
+        }
+        return n;
+    }
+
+    // Ganged: a gang runs once it is full, or once no more jobs will
+    // be built; its jobs then finish in index order.
+    const size_t limit = static_cast<size_t>(
+        batch <= 0 ? MultiSim::kDefaultBatch : batch);
+    std::vector<std::pair<size_t, std::unique_ptr<MultiSim::Job>>> gang;
+    size_t kept = n;
+    const auto runGang = [&] {
+        MultiSim ms(static_cast<int>(limit));
+        for (auto &entry : gang)
+            ms.add(*entry.second);
+        ms.runAll();
+        for (auto &[i, job] : gang) {
+            if (!finish(i, *job))
+                kept = std::min(kept, i + 1);
+        }
+        gang.clear();
+    };
+    for (size_t i = 0; i < n && kept == n; ++i) {
+        auto job = make(i);
+        if (!batchable(job->network())) {
+            runAlone(*job);
+            if (!finish(i, *job))
+                kept = i + 1;
+            continue;
+        }
+        gang.emplace_back(i, std::move(job));
+        if (gang.size() == limit)
+            runGang();
+    }
+    if (!gang.empty())
+        runGang();
+    return kept;
 }
 
 } // namespace phastlane::sim

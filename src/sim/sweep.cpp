@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "common/log.hpp"
-#include "common/parallel.hpp"
-#include "core/network.hpp"
-#include "obs/observe.hpp"
 #include "sim/multisim.hpp"
 
 namespace phastlane::sim {
@@ -120,190 +116,41 @@ trafficFlagNames()
             "tenant-boost"};
 }
 
-namespace {
-
-/** Simulate one sweep point; self-contained and thread-safe (its own
- *  network, driver, and RNG). */
-SweepPoint
-runPoint(const NetConfig &config, const SweepConfig &sweep,
-         double rate)
-{
-    auto net = config.make(sweep.seed);
-    traffic::SyntheticConfig cfg;
-    cfg.pattern = sweep.pattern;
-    cfg.patternOpts = sweep.patternOpts;
-    cfg.adversarial = sweep.adversarial;
-    cfg.injectionRate = rate;
-    cfg.warmupCycles = sweep.warmupCycles;
-    cfg.measureCycles = sweep.measureCycles;
-    cfg.seed = sweep.seed;
-    traffic::SyntheticDriver driver(*net, cfg);
-    SweepPoint pt;
-    pt.injectionRate = rate;
-    // Each point records into its own registry so parallel points
-    // never share observer state; runSweep merges them in rate order.
-    std::optional<obs::MetricsObserver> observer;
-    auto *pl = dynamic_cast<core::PhastlaneNetwork *>(net.get());
-    if (sweep.collectMetrics && pl) {
-        observer.emplace(*pl, pt.metrics);
-        pl->setObserver(&*observer);
-    }
-    pt.result = driver.run();
-    if (pl && observer)
-        pl->setObserver(nullptr);
-    return pt;
-}
-
-/** One sweep point under batched execution: its own network and
- *  step-wise SyntheticDriver (DESIGN.md §13). */
-class SweepJob final : public MultiSim::Job
-{
-  public:
-    SweepJob(const NetConfig &config, const SweepConfig &sweep,
-             double rate)
-        : net_(config.make(sweep.seed)), rate_(rate)
-    {
-        traffic::SyntheticConfig cfg;
-        cfg.pattern = sweep.pattern;
-        cfg.patternOpts = sweep.patternOpts;
-        cfg.adversarial = sweep.adversarial;
-        cfg.injectionRate = rate;
-        cfg.warmupCycles = sweep.warmupCycles;
-        cfg.measureCycles = sweep.measureCycles;
-        cfg.seed = sweep.seed;
-        driver_.emplace(*net_, cfg);
-        driver_->begin();
-    }
-
-    bool batchEligible() const { return batchable(*net_); }
-
-    core::PhastlaneNetwork &network() override
-    {
-        return static_cast<core::PhastlaneNetwork &>(*net_);
-    }
-    bool done() override { return driver_->done(); }
-    void preStep() override { driver_->preStep(); }
-    void postStep() override { driver_->postStep(); }
-
-    SweepPoint finishPoint()
-    {
-        SweepPoint pt;
-        pt.injectionRate = rate_;
-        pt.result = driver_->finish();
-        return pt;
-    }
-
-  private:
-    std::unique_ptr<Network> net_;
-    std::optional<traffic::SyntheticDriver> driver_;
-    double rate_;
-};
-
-/** Batched serial sweep: gangs of SweepJobs in rate order. Returns
- *  nullopt when the configuration cannot batch (metrics collection
- *  wants an observer; GlobalPriority / non-Phastlane nets take the
- *  per-instance path). */
-std::optional<std::vector<SweepPoint>>
-runSweepBatched(const NetConfig &config, const SweepConfig &sweep)
-{
-    if (sweep.collectMetrics)
-        return std::nullopt;
-    const size_t n = sweep.rates.size();
-    const int limit = sweep.batch <= 0 ? MultiSim::kDefaultBatch
-                                       : sweep.batch;
-    std::vector<SweepPoint> points;
-    size_t done = 0;
-    while (done < n) {
-        const size_t gang =
-            std::min(n - done, static_cast<size_t>(limit));
-        std::vector<std::unique_ptr<SweepJob>> jobs;
-        jobs.reserve(gang);
-        MultiSim ms(limit);
-        for (size_t i = 0; i < gang; ++i) {
-            jobs.push_back(std::make_unique<SweepJob>(
-                config, sweep, sweep.rates[done + i]));
-            if (!jobs.back()->batchEligible()) {
-                // Probe found an ineligible configuration: the whole
-                // sweep shares it, so fall back entirely.
-                return std::nullopt;
-            }
-            ms.add(*jobs.back());
-        }
-        ms.runAll();
-        for (auto &job : jobs) {
-            points.push_back(job->finishPoint());
-            // Same truncation as the serial loop: points after the
-            // first saturated one are dropped (later gangs are never
-            // built at all).
-            if (sweep.stopAtSaturation &&
-                points.back().result.saturated) {
-                return points;
-            }
-        }
-        done += gang;
-    }
-    return points;
-}
-
-} // namespace
-
 std::vector<SweepPoint>
 runSweep(const NetConfig &config, const SweepConfig &sweep)
 {
-    const size_t n = sweep.rates.size();
-    const int threads = resolveThreadCount(sweep.threads);
-
-    if (threads <= 1 || n <= 1) {
-        // Serial execution: gang the points' networks through the
-        // batched lockstep backend when the configuration allows it
-        // (bit-identical results; see DESIGN.md §13).
-        if (sweep.batch != 1 && n > 1) {
-            if (auto batched = runSweepBatched(config, sweep))
-                return *batched;
-        }
-        std::vector<SweepPoint> points;
-        for (double rate : sweep.rates) {
-            points.push_back(runPoint(config, sweep, rate));
-            if (sweep.stopAtSaturation && points.back().result.saturated)
-                break;
-        }
-        return points;
-    }
-
-    std::vector<SweepPoint> points(n);
-    if (!sweep.stopAtSaturation) {
-        parallelFor(
-            n,
-            [&](size_t i) {
-                points[i] =
-                    runPoint(config, sweep, sweep.rates[i]);
-            },
-            threads);
-        return points;
-    }
-
-    // Early exit must survive parallelism: simulate in thread-sized
-    // waves and truncate at the first saturated point, matching the
-    // serial result exactly (points up to and including it).
-    size_t done = 0;
-    while (done < n) {
-        const size_t batch =
-            std::min(n - done, static_cast<size_t>(threads));
-        parallelFor(
-            batch,
-            [&](size_t i) {
-                points[done + i] = runPoint(config, sweep,
-                                            sweep.rates[done + i]);
-            },
-            threads);
-        for (size_t i = 0; i < batch; ++i) {
-            if (points[done + i].result.saturated) {
-                points.resize(done + i + 1);
-                return points;
-            }
-        }
-        done += batch;
-    }
+    using PointJob = DriverJob<traffic::SyntheticDriver>;
+    // Each point records into its own registry so parallel points
+    // never share observer state; mergedMetrics() merges them in rate
+    // order.
+    std::vector<SweepPoint> points(sweep.rates.size());
+    const size_t kept = runJobs(
+        points.size(), sweep.threads, sweep.batch,
+        [&](size_t i) {
+            traffic::SyntheticConfig cfg;
+            cfg.pattern = sweep.pattern;
+            cfg.patternOpts = sweep.patternOpts;
+            cfg.adversarial = sweep.adversarial;
+            cfg.injectionRate = sweep.rates[i];
+            cfg.warmupCycles = sweep.warmupCycles;
+            cfg.measureCycles = sweep.measureCycles;
+            cfg.seed = sweep.seed;
+            auto job =
+                std::make_unique<PointJob>(config.make(sweep.seed), cfg);
+            if (sweep.collectMetrics)
+                job->recordMetrics(points[i].metrics);
+            return job;
+        },
+        [&](size_t i, MultiSim::Job &job) {
+            points[i].injectionRate = sweep.rates[i];
+            points[i].result =
+                static_cast<PointJob &>(job).driver().finish();
+            return !(sweep.stopAtSaturation &&
+                     points[i].result.saturated);
+        },
+        sweep.stopAtSaturation);
+    // Points after the first saturated one are dropped.
+    points.resize(kept);
     return points;
 }
 

@@ -58,9 +58,9 @@ struct SweepConfig {
      *  stepping many points' networks through one NetworkBatch when
      *  the sweep runs serially (resolved threads == 1) and the
      *  configuration is batch-eligible (no observers, FCFS
-     *  wavefront). 0 = auto (MultiSim::kDefaultBatch), 1 = disable,
-     *  > 1 = explicit gang size. Results are bit-identical to the
-     *  serial path. */
+     *  wavefront; other points run alone). 0 = auto
+     *  (MultiSim::kDefaultBatch), 1 = disable, > 1 = explicit gang
+     *  size. Results are bit-identical to the serial path. */
     int batch = 0;
 };
 

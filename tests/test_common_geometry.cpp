@@ -181,5 +181,51 @@ TEST(Geometry, MaxDistanceIn8x8Is14)
     EXPECT_EQ(max_d, 14);
 }
 
+TEST(MeshSpec, ParsesWidthByHeight)
+{
+    int w = 0;
+    int h = 0;
+    ASSERT_TRUE(parseMeshSpec("8x8", w, h));
+    EXPECT_EQ(w, 8);
+    EXPECT_EQ(h, 8);
+    ASSERT_TRUE(parseMeshSpec("32x16", w, h));
+    EXPECT_EQ(w, 32);
+    EXPECT_EQ(h, 16);
+    ASSERT_TRUE(parseMeshSpec("1x1", w, h));
+    EXPECT_EQ(w, 1);
+    EXPECT_EQ(h, 1);
+    ASSERT_TRUE(parseMeshSpec("007x3", w, h));
+    EXPECT_EQ(w, 7);
+    EXPECT_EQ(h, 3);
+}
+
+TEST(MeshSpec, RejectsMalformedSpecs)
+{
+    const char *bad[] = {
+        // trailing or leading characters
+        "4x4junk", "4x4 ", " 4x4", "4x4x4", "+4x4", "4x+4",
+        // missing fields
+        "", "x", "4x", "x4", "44", "4",
+        // non-digits and other separators
+        "3.9x4", "4x3.9", "-4x4", "4x-4", "axb", "4X4", "4*4", "0x10x4",
+        // zero
+        "0x4", "4x0", "0x0", "00x4",
+        // overflow: a field past the NodeId range, or W*H past it
+        "2147483648x1", "1x2147483648", "99999999999999999999x1",
+        "65536x65536", "46341x46341",
+    };
+    for (const char *spec : bad) {
+        int w = -1;
+        int h = -1;
+        EXPECT_FALSE(parseMeshSpec(spec, w, h)) << "'" << spec << "'";
+        EXPECT_EQ(w, -1) << "'" << spec << "'";
+        EXPECT_EQ(h, -1) << "'" << spec << "'";
+    }
+    int w = 0;
+    int h = 0;
+    EXPECT_TRUE(parseMeshSpec("2147483647x1", w, h));
+    EXPECT_TRUE(parseMeshSpec("46340x46340", w, h));
+}
+
 } // namespace
 } // namespace phastlane

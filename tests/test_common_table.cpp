@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/table.hpp"
+#include "temp_path.hpp"
 
 namespace phastlane {
 namespace {
@@ -71,7 +72,7 @@ TEST(TableTest, CsvRoundTrip)
     t.addRow({"plain", "1"});
     t.addRow({"with,comma", "2"});
     t.addRow({"with\"quote", "3"});
-    const std::string path = "/tmp/pl_table_test.csv";
+    const std::string path = test::tempPath("table_test.csv");
     t.writeCsv(path);
 
     std::ifstream in(path);

@@ -7,11 +7,14 @@
  * per-port claim tallies — across batch sizes (1/3/8/64), mixed mesh
  * shapes, seeds, fault configs, and both FCFS wavefront models.
  * PL_CHECK_LONG=1 widens the campaign (more seeds, longer 64-wide
- * soak).
+ * soak). The RunJobs tests pin what sim::runJobs builds and keeps
+ * alive in each of its modes.
  */
 
 #include <gtest/gtest.h>
+#include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <map>
 #include <memory>
 #include <string>
@@ -446,6 +449,142 @@ TEST(MultiSimDifferential, StaggeredCompletionInOneGang)
                         "staggered window " +
                             std::to_string(windows[i]));
     }
+}
+
+/** What a runJobs call built, finished and held alive at once. */
+struct JobLedger {
+    std::atomic<int> built{0};
+    std::atomic<int> live{0};
+    std::atomic<int> peakLive{0};
+    std::mutex mu;
+    std::vector<size_t> finished;
+};
+
+/** A few cycles on a 2x2 mesh; GlobalPriority makes it non-batchable.
+ *  Construction and destruction are tallied in the ledger. */
+class LedgerJob final : public MultiSim::Job
+{
+  public:
+    LedgerJob(JobLedger &ledger, bool can_batch)
+        : ledger_(ledger), net_(params(can_batch))
+    {
+        ++ledger_.built;
+        const int now = ++ledger_.live;
+        int peak = ledger_.peakLive.load();
+        while (now > peak &&
+               !ledger_.peakLive.compare_exchange_weak(peak, now)) {
+        }
+    }
+    ~LedgerJob() override { --ledger_.live; }
+
+    Network &network() override { return net_; }
+    bool done() override { return net_.now() >= 3; }
+    void preStep() override {}
+    void postStep() override {}
+
+  private:
+    static core::PhastlaneParams params(bool can_batch)
+    {
+        core::PhastlaneParams p = baseParams(2, 2, 1);
+        if (!can_batch)
+            p.wavefront = core::WavefrontModel::GlobalPriority;
+        return p;
+    }
+
+    JobLedger &ledger_;
+    core::PhastlaneNetwork net_;
+};
+
+/** runJobs over @p n LedgerJobs whose finish returns false at
+ *  @p stop_at (n: never); @p can_batch(i) picks each job's kind. */
+size_t
+runLedger(JobLedger &ledger, size_t n, int threads, int batch,
+          size_t stop_at, bool may_stop,
+          bool (*can_batch)(size_t) = [](size_t) { return true; })
+{
+    return runJobs(
+        n, threads, batch,
+        [&](size_t i) {
+            return std::make_unique<LedgerJob>(ledger, can_batch(i));
+        },
+        [&](size_t i, MultiSim::Job &job) {
+            EXPECT_TRUE(job.done()) << "job " << i;
+            std::lock_guard<std::mutex> lock(ledger.mu);
+            ledger.finished.push_back(i);
+            return i != stop_at;
+        },
+        may_stop);
+}
+
+/** No extra jobs: nothing is built after the job whose finish says
+ *  stop, beyond the gang or wave that already holds it. */
+TEST(RunJobs, StopBuildsNothingPastTheGangOrWaveHoldingIt)
+{
+    struct Case {
+        int threads;
+        int batch;
+        bool may_stop;
+        int built;
+    };
+    // Ten jobs, stop at job 3.
+    for (const Case c : {Case{1, 1, true, 4},    // serial
+                         Case{1, 2, true, 4},    // gangs {0,1} {2,3}
+                         Case{1, 3, true, 6},    // gangs {0,1,2} {3,4,5}
+                         Case{1, 0, true, 10},   // one default gang
+                         Case{3, 0, true, 6},    // waves of three
+                         Case{3, 0, false, 10}}) // one parallelFor
+    {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << c.threads << " batch=" << c.batch
+                     << " may_stop=" << c.may_stop);
+        JobLedger ledger;
+        EXPECT_EQ(runLedger(ledger, 10, c.threads, c.batch, 3,
+                            c.may_stop),
+                  4u);
+        EXPECT_EQ(ledger.built.load(), c.built);
+        EXPECT_EQ(ledger.finished.size(),
+                  static_cast<size_t>(c.built));
+        EXPECT_EQ(ledger.live.load(), 0);
+    }
+}
+
+/** Serial and ganged runs finish batchable jobs in index order, and
+ *  every job when none says stop. */
+TEST(RunJobs, FinishesInIndexOrder)
+{
+    for (const int batch : {1, 2, 0}) {
+        JobLedger ledger;
+        EXPECT_EQ(runLedger(ledger, 7, 1, batch, 7, true), 7u);
+        EXPECT_EQ(ledger.finished,
+                  (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6}))
+            << "batch=" << batch;
+    }
+}
+
+/** A job that cannot batch runs and finishes as soon as it is built,
+ *  so a ganged run holds at most one of them beside the open gang. */
+TEST(RunJobs, NonBatchableJobsRunAloneAsBuilt)
+{
+    JobLedger all_solo;
+    EXPECT_EQ(runLedger(all_solo, 6, 1, 0, 6, false,
+                        [](size_t) { return false; }),
+              6u);
+    EXPECT_EQ(all_solo.peakLive.load(), 1);
+
+    // Odd jobs cannot batch: they finish before the gang of even ones
+    // that was built around them.
+    JobLedger mixed;
+    EXPECT_EQ(runLedger(mixed, 6, 1, 0, 6, false,
+                        [](size_t i) { return i % 2 == 0; }),
+              6u);
+    EXPECT_EQ(mixed.finished,
+              (std::vector<size_t>{1, 3, 5, 0, 2, 4}));
+    EXPECT_EQ(mixed.peakLive.load(), 4); // gang of three plus one
+
+    // A parallel run holds at most one job per worker.
+    JobLedger parallel;
+    EXPECT_EQ(runLedger(parallel, 12, 3, 0, 12, false), 12u);
+    EXPECT_LE(parallel.peakLive.load(), 3);
 }
 
 } // namespace

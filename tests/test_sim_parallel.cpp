@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests of the parallel simulation harness (common/parallel.hpp): the
- * work-stealing pool itself, and the determinism contract -- sweeps
- * and experiments produce bit-identical results at any thread count.
+ * work-stealing pool itself, and the determinism contract -- sweeps,
+ * experiments and fault sweeps produce bit-identical results in every
+ * sim::runJobs mode (serial, ganged, parallel) at any thread count and
+ * gang size.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <gtest/gtest.h>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "sim/experiment.hpp"
+#include "sim/fault_sweep.hpp"
 #include "sim/sweep.hpp"
 #include "traffic/splash.hpp"
 
@@ -129,8 +133,20 @@ expectIdenticalPoints(const std::vector<SweepPoint> &a,
         EXPECT_EQ(a[i].result.measuredPackets,
                   b[i].result.measuredPackets);
         EXPECT_EQ(a[i].result.saturated, b[i].result.saturated);
+        EXPECT_EQ(a[i].metrics.toJson(), b[i].metrics.toJson());
     }
 }
+
+/** The (threads, batch) pairs every runner must agree across: serial
+ *  (batch 1), ganged with the default and with two-wide gangs (so a
+ *  sweep spans several gangs), and the same three on a parallel pool
+ *  of three workers (so a grid spans several waves). */
+struct RunnerMode {
+    int threads;
+    int batch;
+};
+constexpr RunnerMode kRunnerModes[] = {{1, 0}, {1, 1}, {1, 2},
+                                       {3, 0}, {3, 1}, {3, 2}};
 
 TEST(ParallelSweep, BitIdenticalToSerial)
 {
@@ -153,39 +169,133 @@ TEST(ParallelSweep, SaturationTruncationMatchesSerial)
     expectIdenticalPoints(serial, parallel);
 }
 
-TEST(ParallelExperiment, BitIdenticalToSerial)
+void
+expectIdenticalRuns(const std::vector<BenchmarkRun> &a,
+                    const std::vector<BenchmarkRun> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].benchmark, b[i].benchmark);
+        EXPECT_EQ(a[i].config, b[i].config);
+        EXPECT_EQ(a[i].result.completionCycles,
+                  b[i].result.completionCycles);
+        EXPECT_EQ(a[i].result.transactions, b[i].result.transactions);
+        EXPECT_EQ(a[i].result.avgMessageLatency,
+                  b[i].result.avgMessageLatency);
+        EXPECT_EQ(a[i].drops, b[i].drops);
+        EXPECT_EQ(a[i].power.totalW, b[i].power.totalW);
+    }
+}
+
+ExperimentSpec
+smallExperiment()
 {
     ExperimentSpec spec;
     spec.configs = {"Electrical3", "Optical4"};
     const auto suite = traffic::splashSuite();
-    ASSERT_GE(suite.size(), 2u);
-    spec.benchmarks = {suite[0], suite[1]};
+    spec.benchmarks = {suite.at(0), suite.at(1)};
     spec.txnsPerNode = 20;
     spec.seed = 7;
+    return spec;
+}
 
+TEST(ParallelExperiment, BitIdenticalToSerial)
+{
+    ExperimentSpec spec = smallExperiment();
     spec.threads = 1;
     const auto serial = runExperiment(spec);
     spec.threads = 4;
     const auto parallel = runExperiment(spec);
 
-    ASSERT_EQ(serial.size(), parallel.size());
     ASSERT_EQ(serial.size(), 4u);
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].benchmark, parallel[i].benchmark);
-        EXPECT_EQ(serial[i].config, parallel[i].config);
-        EXPECT_EQ(serial[i].result.completionCycles,
-                  parallel[i].result.completionCycles);
-        EXPECT_EQ(serial[i].result.transactions,
-                  parallel[i].result.transactions);
-        EXPECT_EQ(serial[i].result.avgMessageLatency,
-                  parallel[i].result.avgMessageLatency);
-        EXPECT_EQ(serial[i].drops, parallel[i].drops);
-        EXPECT_EQ(serial[i].power.totalW, parallel[i].power.totalW);
-    }
+    expectIdenticalRuns(serial, parallel);
     // Grouped by benchmark, configs in specification order.
     EXPECT_EQ(serial[0].benchmark, serial[1].benchmark);
     EXPECT_EQ(serial[0].config, "Electrical3");
     EXPECT_EQ(serial[1].config, "Optical4");
+}
+
+/** Every runJobs mode gives the plain serial sweep's points: with and
+ *  without the saturation stop (which truncates mid-grid, across gang
+ *  and wave boundaries), with metrics observers (which make every
+ *  point run alone), on a batchable and a non-batchable config. */
+TEST(RunnerEquivalence, SweepIdenticalInEveryMode)
+{
+    struct Variant {
+        bool stop;
+        bool metrics;
+    };
+    for (const char *config : {"Optical4", "Electrical2"}) {
+        for (const Variant v : {Variant{false, false}, Variant{true, false},
+                                Variant{true, true}}) {
+            // Short windows, and a grid that runs past saturation so
+            // the stop cuts it mid-grid.
+            SweepConfig sc = smallSweep(1);
+            sc.rates = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7};
+            sc.warmupCycles = 100;
+            sc.measureCycles = 400;
+            sc.stopAtSaturation = v.stop;
+            sc.collectMetrics = v.metrics;
+            sc.batch = 1;
+            const auto ref = runSweep(makeConfig(config), sc);
+            ASSERT_FALSE(ref.empty());
+            if (v.stop) {
+                // The stop must actually cut the grid short.
+                EXPECT_LT(ref.size(), sc.rates.size()) << config;
+                EXPECT_TRUE(ref.back().result.saturated) << config;
+            }
+            if (v.metrics && std::string(config) == "Optical4") {
+                EXPECT_FALSE(mergedMetrics(ref).counterNames().empty());
+            }
+            for (const RunnerMode m : kRunnerModes) {
+                SCOPED_TRACE(::testing::Message()
+                             << config << " stop=" << v.stop
+                             << " metrics=" << v.metrics
+                             << " threads=" << m.threads
+                             << " batch=" << m.batch);
+                sc.threads = m.threads;
+                sc.batch = m.batch;
+                expectIdenticalPoints(ref,
+                                      runSweep(makeConfig(config), sc));
+            }
+        }
+    }
+}
+
+TEST(RunnerEquivalence, FaultSweepIdenticalInEveryMode)
+{
+    FaultSweepConfig cfg;
+    cfg.params.meshWidth = 4;
+    cfg.params.meshHeight = 4;
+    cfg.sweepField = "missedReceiveRate";
+    cfg.rates = {0.0, 0.1, 0.2, 0.3, 0.4};
+    cfg.broadcastFraction = 0.2;
+    cfg.measureCycles = 300;
+    cfg.threads = 1;
+    cfg.batch = 1;
+    const std::string ref = faultSweepToJson(cfg, runFaultSweep(cfg));
+    for (const RunnerMode m : kRunnerModes) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << m.threads
+                                          << " batch=" << m.batch);
+        cfg.threads = m.threads;
+        cfg.batch = m.batch;
+        EXPECT_EQ(ref, faultSweepToJson(cfg, runFaultSweep(cfg)));
+    }
+}
+
+TEST(RunnerEquivalence, ExperimentIdenticalInEveryMode)
+{
+    ExperimentSpec spec = smallExperiment();
+    spec.threads = 1;
+    spec.batch = 1;
+    const auto ref = runExperiment(spec);
+    for (const RunnerMode m : kRunnerModes) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << m.threads
+                                          << " batch=" << m.batch);
+        spec.threads = m.threads;
+        spec.batch = m.batch;
+        expectIdenticalRuns(ref, runExperiment(spec));
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "traffic/coherence.hpp"
 #include "traffic/splash.hpp"
 #include "traffic/trace.hpp"
+#include "temp_path.hpp"
 
 namespace phastlane::traffic {
 namespace {
@@ -30,7 +31,7 @@ sampleTrace()
 
 TEST(Trace, WriteReadRoundTrip)
 {
-    const std::string path = "/tmp/pl_trace_test.txt";
+    const std::string path = test::tempPath("trace_test.txt");
     const auto original = sampleTrace();
     writeTrace(path, original);
     const auto loaded = readTrace(path);
@@ -49,8 +50,9 @@ TEST(Trace, BroadcastEncoding)
 
 TEST(Trace, CommentsAndBlankLinesIgnored)
 {
-    const std::string path = "/tmp/pl_trace_comment.txt";
+    const std::string path = test::tempPath("trace_comment.txt");
     std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "# a comment\n\n1 2 3 0 9\n");
     std::fclose(f);
     const auto loaded = readTrace(path);
@@ -165,7 +167,7 @@ TEST(Trace, RecordedWorkloadReplaysOnTheOtherNetwork)
     ASSERT_FALSE(r.timedOut);
     ASSERT_GT(rec.recorded().size(), 0u);
 
-    const std::string path = "/tmp/pl_recorded_trace.txt";
+    const std::string path = test::tempPath("recorded_trace.txt");
     writeTrace(path, rec.recorded());
     const auto loaded = readTrace(path);
     EXPECT_EQ(loaded.size(), rec.recorded().size());
@@ -186,8 +188,9 @@ TEST(Trace, LongLinesParseAsOneRecord)
     // A fixed 256-byte fgets buffer used to split over-long lines,
     // letting the tail fragment parse as a bogus extra record (or
     // fail). Pad a valid record far past the old buffer size.
-    const std::string path = "/tmp/pl_trace_longline.txt";
+    const std::string path = test::tempPath("trace_longline.txt");
     std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "1 2 3 0 9%s\n", std::string(600, ' ').c_str());
     std::fprintf(f, "#%s\n", std::string(1000, 'x').c_str());
     std::fprintf(f, "2%s4 5 0 10\n", std::string(400, ' ').c_str());
@@ -228,8 +231,9 @@ TEST(TraceDeathTest, ReadRejectsOutOfRangeDst)
 {
     // dst -5 used to replay as a negative unicast and index node
     // arrays out of bounds.
-    const std::string path = "/tmp/pl_trace_bad_dst.txt";
+    const std::string path = test::tempPath("trace_bad_dst.txt");
     std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "0 1 -5 0 1\n");
     std::fclose(f);
     EXPECT_DEATH(readTrace(path), "");
@@ -238,8 +242,9 @@ TEST(TraceDeathTest, ReadRejectsOutOfRangeDst)
 
 TEST(TraceDeathTest, ReadRejectsNodesOutsideTheNetwork)
 {
-    const std::string path = "/tmp/pl_trace_big_dst.txt";
+    const std::string path = test::tempPath("trace_big_dst.txt");
     std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "0 1 70 0 1\n");
     std::fclose(f);
     EXPECT_DEATH(readTrace(path, 64), "");
@@ -248,8 +253,9 @@ TEST(TraceDeathTest, ReadRejectsNodesOutsideTheNetwork)
 
 TEST(TraceDeathTest, ReadRejectsTrailingGarbage)
 {
-    const std::string path = "/tmp/pl_trace_garbage.txt";
+    const std::string path = test::tempPath("trace_garbage.txt");
     std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "0 1 2 0 1 oops\n");
     std::fclose(f);
     EXPECT_DEATH(readTrace(path), "");
@@ -258,8 +264,9 @@ TEST(TraceDeathTest, ReadRejectsTrailingGarbage)
 
 TEST(TraceDeathTest, ReadRejectsOutOfOrderCycles)
 {
-    const std::string path = "/tmp/pl_trace_order.txt";
+    const std::string path = test::tempPath("trace_order.txt");
     std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "5 1 2 0 1\n3 2 3 0 2\n");
     std::fclose(f);
     EXPECT_DEATH(readTrace(path), "");

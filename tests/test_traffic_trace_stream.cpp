@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/trace_stream.hpp"
+#include "temp_path.hpp"
 
 namespace phastlane::traffic {
 namespace {
@@ -43,18 +44,19 @@ randomTrace(size_t n, int nodes, uint64_t seed)
     return t;
 }
 
-std::string
-slurp(const std::string &path)
+/** Read all of @p path into @p data; callers wrap the call in
+ *  ASSERT_NO_FATAL_FAILURE so a missing file ends the test. */
+void
+slurp(const std::string &path, std::string &data)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string data;
+    ASSERT_NE(f, nullptr) << path;
+    data.clear();
     char buf[4096];
     size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         data.append(buf, n);
     std::fclose(f);
-    return data;
 }
 
 void
@@ -143,8 +145,8 @@ TEST(Varint, OverlongEncodingRejected)
 TEST(TraceStream, BinaryRoundTripMatchesText)
 {
     const auto original = randomTrace(5000, 64, 11);
-    const std::string bpath = "/tmp/pl_ts_roundtrip.pltrace";
-    const std::string tpath = "/tmp/pl_ts_roundtrip.txt";
+    const std::string bpath = test::tempPath("ts_roundtrip.pltrace");
+    const std::string tpath = test::tempPath("ts_roundtrip.txt");
     writeTraceBinary(bpath, original, 64);
     writeTrace(tpath, original);
     const auto from_binary = readTraceBinary(bpath, 64);
@@ -158,7 +160,7 @@ TEST(TraceStream, BinaryRoundTripMatchesText)
 TEST(TraceStream, StreamingReaderMatchesBulkRead)
 {
     const auto original = randomTrace(3000, 32, 5);
-    const std::string path = "/tmp/pl_ts_stream.pltrace";
+    const std::string path = test::tempPath("ts_stream.pltrace");
     // A small chunk size forces many chunk boundaries.
     TraceStreamOptions opts;
     opts.nodeCount = 32;
@@ -182,7 +184,7 @@ TEST(TraceStream, StreamingReaderMatchesBulkRead)
 
 TEST(TraceStream, EmptyTraceRoundTrips)
 {
-    const std::string path = "/tmp/pl_ts_empty.pltrace";
+    const std::string path = test::tempPath("ts_empty.pltrace");
     writeTraceBinary(path, {}, 16);
     const auto loaded = readTraceBinary(path);
     EXPECT_TRUE(loaded.empty());
@@ -199,12 +201,16 @@ TEST(TraceStream, BinaryAtLeastFourTimesSmallerThanText)
     uint64_t tag = 1;
     for (auto &r : trace)
         r.tag = tag++;
-    const std::string bpath = "/tmp/pl_ts_size.pltrace";
-    const std::string tpath = "/tmp/pl_ts_size.txt";
+    const std::string bpath = test::tempPath("ts_size.pltrace");
+    const std::string tpath = test::tempPath("ts_size.txt");
     writeTraceBinary(bpath, trace, 64);
     writeTrace(tpath, trace);
-    const size_t bsize = slurp(bpath).size();
-    const size_t tsize = slurp(tpath).size();
+    std::string bdata;
+    std::string tdata;
+    ASSERT_NO_FATAL_FAILURE(slurp(bpath, bdata));
+    ASSERT_NO_FATAL_FAILURE(slurp(tpath, tdata));
+    const size_t bsize = bdata.size();
+    const size_t tsize = tdata.size();
     EXPECT_GE(tsize, 4u * bsize)
         << "text " << tsize << " bytes vs binary " << bsize;
     std::remove(bpath.c_str());
@@ -214,8 +220,8 @@ TEST(TraceStream, BinaryAtLeastFourTimesSmallerThanText)
 TEST(TraceStream, AutoDetectsFormat)
 {
     const auto trace = randomTrace(100, 16, 9);
-    const std::string bpath = "/tmp/pl_ts_auto.pltrace";
-    const std::string tpath = "/tmp/pl_ts_auto.txt";
+    const std::string bpath = test::tempPath("ts_auto.pltrace");
+    const std::string tpath = test::tempPath("ts_auto.txt");
     writeTraceBinary(bpath, trace, 16);
     writeTrace(tpath, trace);
     EXPECT_TRUE(isBinaryTraceFile(bpath));
@@ -310,7 +316,7 @@ using TraceStreamDeathTest = ::testing::Test;
 std::string
 validFile()
 {
-    const std::string path = "/tmp/pl_ts_death_src.pltrace";
+    const std::string path = test::tempPath("ts_death_src.pltrace");
     writeTraceBinary(path, randomTrace(300, 64, 23), 64);
     return path;
 }
@@ -318,9 +324,10 @@ validFile()
 TEST(TraceStreamDeathTest, BadMagic)
 {
     const std::string path = validFile();
-    std::string data = slurp(path);
+    std::string data;
+    ASSERT_NO_FATAL_FAILURE(slurp(path, data));
     data[0] = 'X';
-    const std::string bad = "/tmp/pl_ts_bad_magic.pltrace";
+    const std::string bad = test::tempPath("ts_bad_magic.pltrace");
     spit(bad, data);
     EXPECT_DEATH(readTraceBinary(bad), "magic");
     std::remove(path.c_str());
@@ -330,9 +337,10 @@ TEST(TraceStreamDeathTest, BadMagic)
 TEST(TraceStreamDeathTest, UnsupportedVersion)
 {
     const std::string path = validFile();
-    std::string data = slurp(path);
+    std::string data;
+    ASSERT_NO_FATAL_FAILURE(slurp(path, data));
     data[4] = 99;
-    const std::string bad = "/tmp/pl_ts_bad_version.pltrace";
+    const std::string bad = test::tempPath("ts_bad_version.pltrace");
     spit(bad, data);
     EXPECT_DEATH(readTraceBinary(bad), "version");
     std::remove(path.c_str());
@@ -345,8 +353,9 @@ TEST(TraceStreamDeathTest, TruncationAnywhereIsDetected)
     // and mid-chunk: a truncated stream must never load as a valid
     // (shorter) trace.
     const std::string path = validFile();
-    const std::string data = slurp(path);
-    const std::string bad = "/tmp/pl_ts_truncated.pltrace";
+    std::string data;
+    ASSERT_NO_FATAL_FAILURE(slurp(path, data));
+    const std::string bad = test::tempPath("ts_truncated.pltrace");
     for (size_t cut = 1; cut < data.size();
          cut += 1 + data.size() / 11) {
         spit(bad, data.substr(0, cut));
@@ -362,9 +371,10 @@ TEST(TraceStreamDeathTest, TruncationAnywhereIsDetected)
 TEST(TraceStreamDeathTest, TrailingBytesAfterEndMarker)
 {
     const std::string path = validFile();
-    std::string data = slurp(path);
+    std::string data;
+    ASSERT_NO_FATAL_FAILURE(slurp(path, data));
     data += "junk";
-    const std::string bad = "/tmp/pl_ts_trailing.pltrace";
+    const std::string bad = test::tempPath("ts_trailing.pltrace");
     spit(bad, data);
     EXPECT_DEATH(readTraceBinary(bad), "");
     std::remove(path.c_str());
@@ -380,7 +390,7 @@ TEST(TraceStreamDeathTest, OversizedChunkFraming)
     putVarint(data, 0);   // nodeCount
     putVarint(data, kMaxChunkBytes + 1);
     putVarint(data, 1);
-    const std::string bad = "/tmp/pl_ts_oversized.pltrace";
+    const std::string bad = test::tempPath("ts_oversized.pltrace");
     spit(bad, data);
     EXPECT_DEATH(readTraceBinary(bad), "");
     std::remove(bad.c_str());
@@ -406,7 +416,7 @@ TEST(TraceStreamDeathTest, OutOfOrderCyclesAcrossChunks)
     }
     putVarint(data, 0);
     putVarint(data, 0);
-    const std::string bad = "/tmp/pl_ts_regress.pltrace";
+    const std::string bad = test::tempPath("ts_regress.pltrace");
     spit(bad, data);
     EXPECT_DEATH(readTraceBinary(bad), "");
     std::remove(bad.c_str());
@@ -414,7 +424,7 @@ TEST(TraceStreamDeathTest, OutOfOrderCyclesAcrossChunks)
 
 TEST(TraceStreamDeathTest, WriterRejectsOutOfOrderAppend)
 {
-    const std::string path = "/tmp/pl_ts_writer_order.pltrace";
+    const std::string path = test::tempPath("ts_writer_order.pltrace");
     EXPECT_DEATH(
         {
             TraceStreamWriter w(path);
@@ -427,7 +437,7 @@ TEST(TraceStreamDeathTest, WriterRejectsOutOfOrderAppend)
 
 TEST(TraceStreamDeathTest, WriterRejectsInvalidRecord)
 {
-    const std::string path = "/tmp/pl_ts_writer_node.pltrace";
+    const std::string path = test::tempPath("ts_writer_node.pltrace");
     TraceStreamOptions opts;
     opts.nodeCount = 16;
     EXPECT_DEATH(
@@ -442,7 +452,7 @@ TEST(TraceStreamDeathTest, WriterRejectsInvalidRecord)
 TEST(TraceStreamDeathTest, ReaderEnforcesNodeCount)
 {
     // File written for 64 nodes, replayed against a 16-node target.
-    const std::string path = "/tmp/pl_ts_reader_nodes.pltrace";
+    const std::string path = test::tempPath("ts_reader_nodes.pltrace");
     std::vector<TraceRecord> recs;
     recs.push_back({0, 40, 1, MessageKind::Synthetic, 1});
     writeTraceBinary(path, recs, 64);
