@@ -35,12 +35,9 @@ ThreadPool::ThreadPool(int threads)
     : workerCount_(std::max(1, threads > 0 ? threads
                                            : resolveThreadCount(0)))
 {
-    queues_.reserve(static_cast<size_t>(workerCount_));
-    for (int i = 0; i < workerCount_; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     threads_.reserve(static_cast<size_t>(workerCount_) - 1);
     for (int i = 1; i < workerCount_; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -54,50 +51,25 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-bool
-ThreadPool::popOrSteal(int self, Chunk &out)
-{
-    // Own queue first (front: cache-friendly sequential order) ...
-    {
-        auto &q = *queues_[static_cast<size_t>(self)];
-        std::lock_guard<std::mutex> lock(q.mu);
-        if (!q.chunks.empty()) {
-            out = q.chunks.front();
-            q.chunks.pop_front();
-            return true;
-        }
-    }
-    // ... then steal from the back of the other workers' queues.
-    for (int d = 1; d < workerCount_; ++d) {
-        const int victim = (self + d) % workerCount_;
-        auto &q = *queues_[static_cast<size_t>(victim)];
-        std::lock_guard<std::mutex> lock(q.mu);
-        if (!q.chunks.empty()) {
-            out = q.chunks.back();
-            q.chunks.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::runChunks(int self)
+ThreadPool::runClaims()
 {
-    Chunk c;
-    while (popOrSteal(self, c)) {
-        for (size_t i = c.begin; i < c.end; ++i) {
-            try {
-                (*body_)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMu_);
-                if (!firstError_)
-                    firstError_ = std::current_exception();
-            }
+    while (true) {
+        // A worker still finishing an earlier run may claim from the
+        // next one: run() publishes body_ before it resets the count,
+        // so any successful claim sees the matching body.
+        const int64_t k =
+            unclaimed_.fetch_sub(1, std::memory_order_acq_rel);
+        if (k <= 0)
+            return;
+        try {
+            (*body_)(static_cast<size_t>(k - 1));
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(errorMu_);
+            if (!firstError_)
+                firstError_ = std::current_exception();
         }
-        if (remaining_.fetch_sub(c.end - c.begin,
-                                 std::memory_order_acq_rel) ==
-            c.end - c.begin) {
+        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             std::lock_guard<std::mutex> lock(mu_);
             done_.notify_all();
         }
@@ -105,7 +77,7 @@ ThreadPool::runChunks(int self)
 }
 
 void
-ThreadPool::workerLoop(int self)
+ThreadPool::workerLoop()
 {
     uint64_t seen = 0;
     while (true) {
@@ -118,7 +90,7 @@ ThreadPool::workerLoop(int self)
                 return;
             seen = generation_;
         }
-        runChunks(self);
+        runClaims();
     }
 }
 
@@ -133,33 +105,19 @@ ThreadPool::run(size_t n, const std::function<void(size_t)> &body)
         return;
     }
 
-    // Chunk small enough that stealing can balance uneven task costs
-    // (simulation points vary wildly near saturation), large enough to
-    // amortize queue traffic.
-    const size_t per =
-        std::max<size_t>(1, n / (4 * static_cast<size_t>(
-                                         workerCount_)));
     {
         std::lock_guard<std::mutex> lock(mu_);
         body_ = &body;
         firstError_ = nullptr;
         remaining_.store(n, std::memory_order_relaxed);
-        size_t begin = 0;
-        int w = 0;
-        while (begin < n) {
-            const size_t end = std::min(n, begin + per);
-            auto &q = *queues_[static_cast<size_t>(w)];
-            std::lock_guard<std::mutex> qlock(q.mu);
-            q.chunks.push_back(Chunk{begin, end});
-            begin = end;
-            w = (w + 1) % workerCount_;
-        }
+        unclaimed_.store(static_cast<int64_t>(n),
+                         std::memory_order_release);
         ++generation_;
     }
     wake_.notify_all();
 
     // The caller works too.
-    runChunks(0);
+    runClaims();
     {
         std::unique_lock<std::mutex> lock(mu_);
         done_.wait(lock, [&] {
@@ -175,14 +133,18 @@ void
 parallelFor(size_t n, const std::function<void(size_t)> &body,
             int threads)
 {
-    const int t = resolveThreadCount(threads);
-    if (t <= 1 || n <= 1) {
+    // Points are CPU-bound: workers beyond the core count only
+    // time-slice, so a long point sharing a core finishes late.
+    const size_t cores =
+        std::max(1u, std::thread::hardware_concurrency());
+    const size_t t = std::min(
+        {static_cast<size_t>(resolveThreadCount(threads)), n, cores});
+    if (t <= 1) {
         for (size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-    ThreadPool pool(static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(t), n)));
+    ThreadPool pool(static_cast<int>(t));
     pool.run(n, body);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Parallel simulation dispatch: a small work-stealing thread pool and
- * a parallelFor helper used to spread independent simulation points
- * (sweep rates, experiment cells, benchmark grids) across cores.
+ * Parallel simulation dispatch: a small thread pool and a parallelFor
+ * helper used to spread independent simulation points (sweep rates,
+ * experiment cells, benchmark grids) across cores.
  *
  * Determinism contract: every task owns its slot in a pre-sized result
  * vector and its own network/driver/RNG, so results are bit-identical
@@ -21,9 +21,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -31,12 +30,16 @@
 namespace phastlane {
 
 /**
- * A work-stealing thread pool for index-space parallelism.
+ * A thread pool for index-space parallelism.
  *
- * run(n, body) partitions [0, n) into chunks, deals them round-robin
- * to per-worker deques, and lets idle workers steal from the back of
- * busy ones. The calling thread participates as worker 0, so a pool
- * of size T uses T-1 background threads.
+ * run(n, body) hands out the indices of [0, n) one at a time from a
+ * shared counter, highest index first. Campaigns list their points in
+ * rising load (sweep rates climb toward saturation), so the last
+ * indices are the longest; claiming them first is longest-first
+ * scheduling, and the short points fill in behind them instead of a
+ * long one starting last and running alone. The calling thread
+ * participates as worker 0, so a pool of size T uses T-1 background
+ * threads.
  */
 class ThreadPool
 {
@@ -61,30 +64,21 @@ class ThreadPool
     void run(size_t n, const std::function<void(size_t)> &body);
 
   private:
-    /** A contiguous slice of the index space. */
-    struct Chunk {
-        size_t begin = 0;
-        size_t end = 0;
-    };
-
-    /** One worker's deque; owner pops the front, thieves the back. */
-    struct WorkerQueue {
-        std::mutex mu;
-        std::deque<Chunk> chunks;
-    };
-
-    void workerLoop(int self);
-    bool popOrSteal(int self, Chunk &out);
-    void runChunks(int self);
+    void workerLoop();
+    /** Claim and run indices until none are left. */
+    void runClaims();
 
     int workerCount_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
     std::vector<std::thread> threads_;
 
     std::mutex mu_;
     std::condition_variable wake_;
     std::condition_variable done_;
     const std::function<void(size_t)> *body_ = nullptr;
+    /** Indices not yet claimed; claim k runs index k - 1, and the
+     *  count goes negative once every index is taken. */
+    std::atomic<int64_t> unclaimed_{0};
+    /** Indices not yet finished; the caller waits for zero. */
     std::atomic<size_t> remaining_{0};
     uint64_t generation_ = 0;
     bool stopping_ = false;
@@ -103,8 +97,9 @@ int resolveThreadCount(int requested);
 
 /**
  * One-shot parallel loop: body(i) for i in [0, n) over @p threads
- * workers (resolved via resolveThreadCount). threads == 1 (or n <= 1)
- * runs inline with no thread machinery at all.
+ * workers (resolved via resolveThreadCount, capped at the hardware
+ * concurrency and at n). One worker runs inline with no thread
+ * machinery at all.
  */
 void parallelFor(size_t n, const std::function<void(size_t)> &body,
                  int threads = 0);

@@ -85,17 +85,15 @@ namespace {
 
 /**
  * Shared group construction over the dimension-order route from
- * @p from to @p dst, walked incrementally — programs are rebuilt on
- * every launch, so this path must not allocate (the explicit
- * xyRoute()/xyPath() vectors it used to build were a top allocation
- * site in the step() hot path).
+ * @p from to @p dst, walked incrementally — multicast programs are
+ * rebuilt on every launch, so this path must not allocate.
  *
  * @param taps Nodes that must get their Multicast bit (path order;
  *        every tap must lie on the route).
  */
 ControlProgram
 buildProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
-             const std::vector<NodeId> &taps, int max_hops)
+             std::span<const NodeId> taps, int max_hops)
 {
     PL_ASSERT(from != dst, "empty route");
     PL_ASSERT(max_hops >= 1, "hop limit must be at least 1");
@@ -175,13 +173,21 @@ buildUnicastProgram(const MeshTopology &mesh, NodeId from, NodeId dst,
 
 ControlProgram
 buildMulticastProgram(const MeshTopology &mesh, NodeId from,
-                      const MulticastBranch &branch, int max_hops)
+                      std::span<const NodeId> taps, int max_hops)
 {
-    PL_ASSERT(!branch.taps.empty(), "multicast branch without taps");
-    const NodeId final_dst = branch.finalDst();
-    PL_ASSERT(from != final_dst || branch.taps.size() > 1,
+    PL_ASSERT(!taps.empty(), "multicast branch without taps");
+    const NodeId final_dst = taps.back();
+    PL_ASSERT(from != final_dst || taps.size() > 1,
               "multicast branch degenerates to self");
-    return buildProgram(mesh, from, final_dst, branch.taps, max_hops);
+    return buildProgram(mesh, from, final_dst, taps, max_hops);
+}
+
+UnicastProgramMemo::UnicastProgramMemo(const MeshTopology &mesh,
+                                       int max_hops)
+    : mesh_(mesh), maxHops_(max_hops),
+      progs_(static_cast<size_t>(2 * mesh.width() - 1) *
+             static_cast<size_t>(2 * mesh.height() - 1))
+{
 }
 
 std::vector<MulticastBranch>
@@ -218,6 +224,21 @@ splitBroadcast(const MeshTopology &mesh, NodeId src)
             branches.push_back(std::move(south));
     }
     return branches;
+}
+
+size_t
+broadcastBranchCount(const MeshTopology &mesh, NodeId src)
+{
+    // splitBroadcast's rules per column: below the top row a source
+    // issues a north branch (its column segment always holds a node
+    // besides src) plus a south one when rows lie below it; on the
+    // top row only the full-column south branch, which is empty in
+    // the source's own column on a one-row mesh.
+    const Coord s = mesh.coordOf(src);
+    const size_t w = static_cast<size_t>(mesh.width());
+    if (s.y == mesh.height() - 1)
+        return mesh.height() == 1 ? w - 1 : w;
+    return s.y > 0 ? 2 * w : w;
 }
 
 } // namespace phastlane::core

@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,9 +67,8 @@ struct ControlGroup {
  * The full route program of a packet: Group 1 first.
  *
  * Storage is inline (the hardware bound is 14 groups), so building,
- * copying, and moving a program never touches the heap — programs are
- * rebuilt on every optical launch, which made this a measurable
- * allocation hot spot in PhastlaneNetwork::step().
+ * copying, and moving a program never touches the heap — every optical
+ * launch copies one into its flight.
  */
 class ControlProgram
 {
@@ -117,6 +117,8 @@ class ControlProgram
 
     /** Debug rendering, e.g. "[E][S][S][L*]". */
     std::string toString() const;
+
+    bool operator==(const ControlProgram &) const = default;
 
   private:
     std::array<ControlGroup, kMaxGroups> groups_{};
@@ -171,15 +173,53 @@ ControlProgram buildUnicastProgram(const MeshTopology &mesh, NodeId from,
                                    NodeId dst, int max_hops);
 
 /**
- * Build the control program for a multicast branch from @p from. Every
- * tap router gets its Multicast bit; interim Local bits are inserted
- * every @p max_hops routers. All taps must lie on the dimension-order
- * route from @p from to the final tap.
+ * Build the control program for a multicast branch from @p from over
+ * its unserved @p taps (path order; the last is the final
+ * destination). Every tap router gets its Multicast bit; interim Local
+ * bits are inserted every @p max_hops routers. All taps must lie on
+ * the dimension-order route from @p from to the final tap.
  */
 ControlProgram buildMulticastProgram(const MeshTopology &mesh,
                                      NodeId from,
-                                     const MulticastBranch &branch,
+                                     std::span<const NodeId> taps,
                                      int max_hops);
+
+/**
+ * Unicast control programs memoized by route offset. Predecoded XY
+ * source routing makes a unicast program a pure function of the
+ * (dx, dy) offset from launch router to destination: buildProgram
+ * walks the route relative to the launch router, and truncation
+ * depends only on |dx| + |dy|. So (2W-1)(2H-1) programs cover every
+ * (launch router, destination) pair of a W x H mesh — 225 at 8x8,
+ * 16,129 at 64x64 — filled lazily on first use.
+ */
+class UnicastProgramMemo
+{
+  public:
+    UnicastProgramMemo(const MeshTopology &mesh, int max_hops);
+
+    /** Exactly buildUnicastProgram(mesh, from, dst, max_hops). */
+    const ControlProgram &get(NodeId from, NodeId dst)
+    {
+        const Coord f = mesh_.coordOf(from);
+        const Coord d = mesh_.coordOf(dst);
+        const size_t key =
+            static_cast<size_t>(d.y - f.y + mesh_.height() - 1) *
+                static_cast<size_t>(2 * mesh_.width() - 1) +
+            static_cast<size_t>(d.x - f.x + mesh_.width() - 1);
+        ControlProgram &prog = progs_[key];
+        // A built unicast program is never empty (from != dst), so an
+        // empty slot means "not built yet".
+        if (prog.empty())
+            prog = buildUnicastProgram(mesh_, from, dst, maxHops_);
+        return prog;
+    }
+
+  private:
+    MeshTopology mesh_;
+    int maxHops_;
+    std::vector<ControlProgram> progs_;
+};
 
 /**
  * Split a broadcast from @p src into its multicast branches: one
@@ -189,6 +229,10 @@ ControlProgram buildMulticastProgram(const MeshTopology &mesh,
  */
 std::vector<MulticastBranch> splitBroadcast(const MeshTopology &mesh,
                                             NodeId src);
+
+/** splitBroadcast(mesh, src).size(), counted without building a
+ *  branch. */
+size_t broadcastBranchCount(const MeshTopology &mesh, NodeId src);
 
 } // namespace phastlane::core
 

@@ -202,8 +202,10 @@ class PhastlaneNetwork : public Network
     };
 
     Port desiredPort(NodeId at, const OpticalPacket &pkt) const;
-    ControlProgram buildProgram(NodeId from,
-                                const OpticalPacket &pkt) const;
+    /** The control program for launching @p pkt from @p from:
+     *  memoized by offset for unicast, built in place over the
+     *  unserved taps for a multicast branch. */
+    ControlProgram buildProgram(NodeId from, const OpticalPacket &pkt);
 
     void resolveOutcomes();
     void nicToLocalQueues();
@@ -316,11 +318,7 @@ class PhastlaneNetwork : public Network
     BitPlaneMesh bitMesh_;
     std::vector<uint64_t> portClaimCounts_; ///< cumulative
 
-    /** Lazily-filled (launch router, destination) -> unicast control
-     *  program memo (empty on meshes too large for an n^2 table); see
-     *  buildProgram(). */
-    mutable std::vector<ControlProgram> unicastProgCache_;
-    mutable std::vector<uint8_t> unicastProgValid_;
+    UnicastProgramMemo unicastProgs_;
 
     /** Launches whose drop-signal window passed clean: the holder
      *  frees the slot next cycle. Releases draw no randomness, so

@@ -8,7 +8,7 @@ OpticalNic::OpticalNic(NodeId self, const PhastlaneParams &params,
                        const MeshTopology &mesh)
     : self_(self),
       capacity_(static_cast<size_t>(params.nicQueueEntries)),
-      broadcastBranches_(splitBroadcast(mesh, self).size()),
+      broadcastBranches_(broadcastBranchCount(mesh, self)),
       mesh_(mesh)
 {
 }

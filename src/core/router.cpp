@@ -42,16 +42,7 @@ RouterBuffers::sharedPoolFreeSlots(int occ) const
 void
 RouterBuffers::push(Port q, OpticalPacket pkt, Cycle eligible_at)
 {
-    PL_ASSERT(hasSpace(q), "pushing into a full router buffer");
-    BufferEntry e;
-    e.pkt = std::move(pkt);
-    e.state = EntryState::Waiting;
-    e.eligibleAt = eligible_at;
-    e.enqueuedAt = eligible_at;
-    e.seq = nextSeq_++;
-    queues_[portIndex(q)].push_back(std::move(e));
-    ++total_;
-    noteEligible(eligible_at);
+    emplaceEntry(q, eligible_at).pkt = std::move(pkt);
 }
 
 BufferEntry &

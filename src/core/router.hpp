@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -91,6 +90,14 @@ struct ArbitrationScratch {
 
 /**
  * Buffer queues and rotating arbiter of one router.
+ *
+ * Each queue is contiguous storage grown on demand (never reserved up
+ * front: a campaign keeps many networks alive, some with 32/64-entry
+ * or infinite buffers). Pushes, emplaceEntry() and releases may move
+ * entries, so no BufferEntry pointer or reference is held across any
+ * of them: arbitrate()'s LaunchPicks are used up before the next
+ * push, and findLaunched*() / emplaceEntry() results are used at
+ * once.
  */
 class RouterBuffers
 {
@@ -188,7 +195,7 @@ class RouterBuffers
     void releaseLaunched(PacketId id);
 
     /** Queue-targeted release: the caller learned the source queue at
-     *  launch time, so only that deque is searched. */
+     *  launch time, so only that queue is searched. */
     void releaseLaunched(Port q, PacketId id);
 
     /**
@@ -254,7 +261,9 @@ class RouterBuffers
     int launchesPerQueue_;
     bool sharedPool_;
     BufferArbitration policy_;
-    std::array<std::deque<BufferEntry>, kAllPorts> queues_;
+    /** Oldest entry first; released entries are erased in place, so
+     *  the survivors keep their FIFO order. */
+    std::array<std::vector<BufferEntry>, kAllPorts> queues_;
     int rotate_ = 0;
     uint64_t nextSeq_ = 0;
     size_t total_ = 0;

@@ -285,14 +285,39 @@ std::string
 faultSweepToJson(const FaultSweepConfig &cfg,
                  const std::vector<FaultSweepPoint> &pts)
 {
+    // The header names every params field the points do not
+    // override (each point sets only the swept rate and faultSeed),
+    // so a sweep file says which network produced it. Names match
+    // netsim_cli's --wavefront and --admission values.
+    const core::PhastlaneParams &p = cfg.params;
+    const char *wavefront =
+        p.wavefront == core::WavefrontModel::BitplaneFcfs ? "bitplane"
+        : p.wavefront == core::WavefrontModel::SubstepFcfs ? "fcfs"
+                                                            : "global";
+    const char *admission =
+        p.admission == core::AdmissionPolicy::TokenBucket ? "token"
+        : p.admission == core::AdmissionPolicy::AgeBoost  ? "age"
+                                                          : "none";
     std::string out;
-    out.reserve(pts.size() * 512 + 512);
+    out.reserve(pts.size() * 512 + 1024);
     appendF(out,
             "{\n\"sweep_field\": \"%s\",\n\"reliable\": %s,\n"
             "\"injection_rate\": %.6f,\n\"broadcast_fraction\": %.6f,\n"
-            "\"seed\": %" PRIu64 ",\n\"points\": [\n",
+            "\"seed\": %" PRIu64 ",\n",
             cfg.sweepField.c_str(), cfg.reliable ? "true" : "false",
             cfg.injectionRate, cfg.broadcastFraction, cfg.seed);
+    appendF(out,
+            "\"mesh\": \"%dx%d\",\n\"wavefront\": \"%s\",\n"
+            "\"max_hops\": %d,\n\"buffer_entries\": %d,\n"
+            "\"backoff\": {\"base\": %d, \"exponential\": %s, "
+            "\"cap\": %d},\n"
+            "\"admission\": {\"policy\": \"%s\", \"burst\": %d, "
+            "\"period\": %d, \"age_threshold\": %d},\n\"points\": [\n",
+            p.meshWidth, p.meshHeight, wavefront, p.maxHopsPerCycle,
+            p.routerBufferEntries, p.backoffBase,
+            p.exponentialBackoff ? "true" : "false", p.backoffCap,
+            admission, p.admissionBurst, p.admissionPeriod,
+            p.admissionAgeThreshold);
     for (size_t i = 0; i < pts.size(); ++i) {
         const FaultSweepPoint &p = pts[i];
         appendF(out,
@@ -338,8 +363,11 @@ writeFaultSweepJson(const FaultSweepConfig &cfg,
     if (!f)
         fatal("cannot write fault sweep to %s", path.c_str());
     const std::string text = faultSweepToJson(cfg, pts);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) != 0 || !wrote)
+        fatal("write error on fault sweep file %s (disk full?)",
+              path.c_str());
 }
 
 } // namespace phastlane::sim

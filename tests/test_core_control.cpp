@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/control.hpp"
 
@@ -185,6 +187,80 @@ TEST(ControlBudget, ShortRoutesKeepExactSpacing)
     }
 }
 
+/** Every memo lookup from @p sources equals a fresh route walk. The
+ *  sources are visited in order, so later ones hit offsets an earlier
+ *  source filled. */
+void
+expectMemoMatchesBuilder(const MeshTopology &mesh, int hops,
+                         const std::vector<NodeId> &sources)
+{
+    UnicastProgramMemo memo(mesh, hops);
+    for (NodeId from : sources) {
+        for (NodeId dst = 0; dst < mesh.nodeCount(); ++dst) {
+            if (dst == from)
+                continue;
+            const ControlProgram &got = memo.get(from, dst);
+            const ControlProgram want =
+                buildUnicastProgram(mesh, from, dst, hops);
+            ASSERT_TRUE(got == want)
+                << mesh.width() << "x" << mesh.height() << " hops "
+                << hops << " " << from << "->" << dst << ": "
+                << got.toString() << " vs " << want.toString();
+        }
+    }
+}
+
+std::vector<NodeId>
+allNodes(const MeshTopology &mesh)
+{
+    std::vector<NodeId> nodes(static_cast<size_t>(mesh.nodeCount()));
+    for (NodeId n = 0; n < mesh.nodeCount(); ++n)
+        nodes[static_cast<size_t>(n)] = n;
+    return nodes;
+}
+
+TEST(UnicastProgramMemo, MatchesBuilderForEveryPair)
+{
+    for (const auto &[w, h] : {std::pair{8, 8}, std::pair{9, 7}}) {
+        const MeshTopology mesh(w, h);
+        for (int hops : {1, 4, 5, 8})
+            expectMemoMatchesBuilder(mesh, hops, allNodes(mesh));
+    }
+    const MeshTopology mesh(32, 32);
+    expectMemoMatchesBuilder(mesh, 4, allNodes(mesh));
+}
+
+TEST(UnicastProgramMemo, MatchesBuilderOnTruncatedRoutes)
+{
+    // 64x64 routes reach 126 hops, far past the 14-group budget: the
+    // corners, edge midpoints and centre reach every destination,
+    // so the sample covers routes of every length in both directions.
+    const MeshTopology mesh(64, 64);
+    std::vector<NodeId> sources;
+    for (int x : {0, 31, 63}) {
+        for (int y : {0, 32, 63})
+            sources.push_back(mesh.nodeAt({x, y}));
+    }
+    ASSERT_GT(mesh.hopDistance(sources.front(), sources.back()),
+              ControlProgram::kMaxGroups);
+    for (int hops : {4, 8})
+        expectMemoMatchesBuilder(mesh, hops, sources);
+}
+
+TEST(Broadcast, BranchCountMatchesSplit)
+{
+    for (const auto &[w, h] :
+         {std::pair{2, 2}, std::pair{8, 8}, std::pair{9, 7},
+          std::pair{32, 32}, std::pair{5, 1}, std::pair{1, 5}}) {
+        const MeshTopology mesh(w, h);
+        for (NodeId src = 0; src < mesh.nodeCount(); ++src) {
+            ASSERT_EQ(broadcastBranchCount(mesh, src),
+                      splitBroadcast(mesh, src).size())
+                << w << "x" << h << " src " << src;
+        }
+    }
+}
+
 TEST(Broadcast, InteriorSourceHas16Branches)
 {
     MeshTopology mesh(8, 8);
@@ -252,7 +328,7 @@ TEST_P(BroadcastCoverage, ProgramsBuildForAllBranches)
     for (int hops : {4, 5, 8}) {
         for (const auto &b : splitBroadcast(mesh, src)) {
             ControlProgram p =
-                buildMulticastProgram(mesh, src, b, hops);
+                buildMulticastProgram(mesh, src, b.taps, hops);
             // Count multicast bits: one per tap.
             size_t mcast = 0;
             for (size_t i = 0; i < p.remaining(); ++i)

@@ -1,12 +1,48 @@
 /**
  * @file
- * Router buffer / rotating arbiter tests (paper Section 2.1.1).
+ * Router buffer / rotating arbiter tests (paper Section 2.1.1), a
+ * randomized differential test of RouterBuffers against a naive list
+ * model of the same rules, and a heap-allocation tripwire over the
+ * network's launch path.
  */
 
+#include <algorithm>
+#include <climits>
+#include <cstdlib>
+#include <list>
+#include <new>
 #include <set>
+#include <tuple>
+#include <vector>
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "core/network.hpp"
 #include "core/router.hpp"
+
+/** Global operator new calls so far (the allocation tripwire). */
+static uint64_t g_heapAllocs = 0;
+
+void *
+operator new(std::size_t n)
+{
+    ++g_heapAllocs;
+    if (void *p = std::malloc(n != 0 ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace phastlane::core {
 namespace {
@@ -453,6 +489,327 @@ TEST(RouterBuffers, EnqueuedAtStampsEligibility)
     ASSERT_EQ(launches.size(), 1u);
     // AgeBoost measures queueing age from the eligibility stamp.
     EXPECT_EQ(launches[0].first->enqueuedAt, 17u);
+}
+
+/** (branch id, output port, queue) of one launch. */
+using Pick = std::tuple<uint64_t, Port, Port>;
+
+/**
+ * The RouterBuffers rules restated as plainly as possible: std::list
+ * queues, a full rescan every arbitration (no skip horizon, no
+ * memoized port), and the desired port stored with the entry.
+ */
+class ModelBuffers
+{
+  public:
+    explicit ModelBuffers(const PhastlaneParams &p)
+        : capacity_(p.routerBufferEntries), shared_(p.sharedBufferPool),
+          perQueue_(p.launchesPerQueue), policy_(p.bufferArbitration)
+    {
+    }
+
+    int size(Port q) const
+    {
+        return static_cast<int>(queues_[portIndex(q)].size());
+    }
+
+    int freeSlots(Port q) const
+    {
+        if (capacity_ <= 0)
+            return INT_MAX;
+        if (!shared_)
+            return capacity_ - size(q);
+        const int guaranteed = std::max(1, capacity_ / 2);
+        int borrowed = 0;
+        for (Port p : kAllPortList)
+            borrowed += std::max(0, size(p) - guaranteed);
+        return std::max(0, guaranteed - size(q)) +
+               std::max(0, kAllPorts * (capacity_ - guaranteed) -
+                               borrowed);
+    }
+
+    void push(Port q, uint64_t id, Port desired, Cycle eligible_at)
+    {
+        queues_[portIndex(q)].push_back(
+            Entry{id, desired, eligible_at, false, seq_++, 0});
+    }
+
+    std::vector<Pick> arbitrate(Cycle now)
+    {
+        std::vector<Pick> picks;
+        bool taken[kMeshPorts] = {false, false, false, false};
+        const auto consider = [&](Entry &e, Port q, int &budget) {
+            if (e.launched || e.eligibleAt > now)
+                return;
+            if (budget > 0 && !taken[portIndex(e.desired)]) {
+                taken[portIndex(e.desired)] = true;
+                e.launched = true;
+                e.losses = 0;
+                --budget;
+                picks.emplace_back(e.id, e.desired, q);
+                return;
+            }
+            ++e.losses;
+            maxAll_ = std::max(maxAll_, e.losses);
+            if (q == Port::Local)
+                maxLocal_ = std::max(maxLocal_, e.losses);
+        };
+        if (policy_ == BufferArbitration::OldestFirst) {
+            std::vector<std::pair<Entry *, Port>> all;
+            for (Port q : kAllPortList) {
+                for (Entry &e : queues_[portIndex(q)])
+                    all.emplace_back(&e, q);
+            }
+            std::sort(all.begin(), all.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first->seq < b.first->seq;
+                      });
+            int budget = kMeshPorts;
+            for (auto &[e, q] : all)
+                consider(*e, q, budget);
+        } else {
+            for (int i = 0; i < kAllPorts; ++i) {
+                const Port q = portFromIndex((rotate_ + i) % kAllPorts);
+                int budget = perQueue_;
+                for (Entry &e : queues_[portIndex(q)])
+                    consider(e, q, budget);
+            }
+            rotate_ = (rotate_ + 1) % kAllPorts;
+        }
+        return picks;
+    }
+
+    void release(Port q, uint64_t id)
+    {
+        queues_[portIndex(q)].erase(find(q, id));
+    }
+
+    void restore(Port q, uint64_t id, Cycle eligible_at)
+    {
+        const auto it = find(q, id);
+        it->launched = false;
+        it->eligibleAt = eligible_at;
+    }
+
+    uint64_t maxAll() const { return maxAll_; }
+    uint64_t maxLocal() const { return maxLocal_; }
+
+  private:
+    struct Entry {
+        uint64_t id;
+        Port desired;
+        Cycle eligibleAt;
+        bool launched;
+        uint64_t seq;
+        uint64_t losses;
+    };
+
+    std::list<Entry>::iterator find(Port q, uint64_t id)
+    {
+        auto &queue = queues_[portIndex(q)];
+        const auto it = std::find_if(
+            queue.begin(), queue.end(),
+            [&](const Entry &e) { return e.launched && e.id == id; });
+        EXPECT_NE(it, queue.end()) << "model lost launch " << id;
+        return it;
+    }
+
+    int capacity_;
+    bool shared_;
+    int perQueue_;
+    BufferArbitration policy_;
+    std::array<std::list<Entry>, kAllPorts> queues_;
+    int rotate_ = 0;
+    uint64_t seq_ = 0;
+    uint64_t maxAll_ = 0;
+    uint64_t maxLocal_ = 0;
+};
+
+/**
+ * Drive RouterBuffers and the model through @p cycles of random
+ * pushes, emplaceEntry()s, arbitrations, releases and drop restores
+ * (both the queue-targeted and the searching variants), comparing
+ * every pick, every queue's occupancy and free slots, and the
+ * starvation maxima. The packet's finalDst encodes its desired port.
+ * Returns the peak total occupancy.
+ */
+size_t
+runAgainstModel(const PhastlaneParams &p, uint64_t seed, int cycles,
+                int max_pushes)
+{
+    RouterBuffers rb(0, p);
+    ModelBuffers model(p);
+    Rng rng(seed);
+    ArbitrationScratch scratch;
+    const auto desired = [](const OpticalPacket &pkt) {
+        return portFromIndex(static_cast<int>(pkt.finalDst));
+    };
+    std::vector<std::pair<Port, uint64_t>> launched;
+    std::vector<std::pair<Port, uint64_t>> still;
+    uint64_t next_id = 1;
+    size_t peak = 0;
+    for (Cycle now = 0; now < static_cast<Cycle>(cycles); ++now) {
+        // Resolve outstanding launches: most free their slot, some are
+        // dropped and retry later, a few stay in flight a while.
+        still.clear();
+        for (const auto &[q, id] : launched) {
+            const double r = rng.uniform();
+            const bool targeted = rng.bernoulli(0.5);
+            if (r < 0.6) {
+                if (targeted)
+                    rb.releaseLaunched(q, id);
+                else
+                    rb.releaseLaunched(id);
+                model.release(q, id);
+            } else if (r < 0.9) {
+                const Cycle at =
+                    now + 1 + static_cast<Cycle>(rng.uniformInt(0, 3));
+                const BufferEntry *e = rb.findLaunchedIn(q, id);
+                EXPECT_NE(e, nullptr) << "launch " << id;
+                if (e == nullptr)
+                    return peak;
+                OpticalPacket updated = e->pkt;
+                if (targeted)
+                    rb.restoreDropped(q, id, updated, at);
+                else
+                    rb.restoreDropped(id, updated, at);
+                model.restore(q, id, at);
+            } else {
+                still.emplace_back(q, id);
+            }
+        }
+        launched.swap(still);
+
+        const int pushes =
+            static_cast<int>(rng.uniformInt(0, max_pushes));
+        for (int k = 0; k < pushes; ++k) {
+            const Port q = portFromIndex(
+                static_cast<int>(rng.uniformInt(0, kAllPorts - 1)));
+            EXPECT_EQ(rb.freeSlots(q), model.freeSlots(q));
+            if (model.freeSlots(q) <= 0)
+                continue;
+            const uint64_t id = next_id++;
+            const Port want = portFromIndex(
+                static_cast<int>(rng.uniformInt(0, kMeshPorts - 1)));
+            const Cycle at = now + static_cast<Cycle>(rng.uniformInt(0, 2));
+            OpticalPacket pkt = mkPacket(id, portIndex(want));
+            if (rng.bernoulli(0.5))
+                rb.push(q, pkt, at);
+            else
+                rb.emplaceEntry(q, at).pkt = pkt;
+            model.push(q, id, want, at);
+        }
+
+        rb.arbitrate(now, desired, scratch);
+        std::vector<Pick> got;
+        for (const LaunchPick &pick : scratch.launches) {
+            got.emplace_back(pick.entry->pkt.branchId, pick.out,
+                             pick.queue);
+            launched.emplace_back(pick.queue, pick.entry->pkt.branchId);
+        }
+        const std::vector<Pick> want = model.arbitrate(now);
+        EXPECT_EQ(got, want) << "cycle " << now;
+        size_t total = 0;
+        for (Port q : kAllPortList) {
+            EXPECT_EQ(rb.occupancy(q), static_cast<size_t>(model.size(q)))
+                << "cycle " << now << " queue " << portName(q);
+            total += rb.occupancy(q);
+        }
+        EXPECT_EQ(rb.totalOccupancy(), total);
+        EXPECT_EQ(rb.maxConsecutiveLosses(), model.maxAll());
+        EXPECT_EQ(rb.maxConsecutiveLossesLocal(), model.maxLocal());
+        if (::testing::Test::HasFailure())
+            return peak;
+        peak = std::max(peak, total);
+    }
+    return peak;
+}
+
+TEST(RouterBuffersModel, CapacityOne)
+{
+    for (uint64_t seed : {1, 2, 3})
+        runAgainstModel(smallParams(1), seed, 400, 4);
+}
+
+TEST(RouterBuffersModel, CapacityTen)
+{
+    for (uint64_t seed : {1, 2, 3}) {
+        EXPECT_GE(runAgainstModel(smallParams(10), seed, 400, 6), 30u);
+        PhastlaneParams one = smallParams(10);
+        one.launchesPerQueue = 1;
+        runAgainstModel(one, seed, 400, 6);
+        PhastlaneParams oldest = smallParams(10);
+        oldest.bufferArbitration = BufferArbitration::OldestFirst;
+        runAgainstModel(oldest, seed, 400, 6);
+    }
+}
+
+TEST(RouterBuffersModel, InfiniteCapacityGrowsPast200)
+{
+    // Offered pushes outrun the four output ports, so the queues grow
+    // well past any fixed buffer size.
+    EXPECT_GT(runAgainstModel(smallParams(0), 1, 300, 10), 200u);
+    PhastlaneParams oldest = smallParams(0);
+    oldest.bufferArbitration = BufferArbitration::OldestFirst;
+    EXPECT_GT(runAgainstModel(oldest, 2, 300, 10), 200u);
+}
+
+TEST(RouterBuffersModel, SharedPool)
+{
+    PhastlaneParams p = smallParams(10);
+    p.sharedBufferPool = true;
+    for (uint64_t seed : {1, 2, 3})
+        EXPECT_GE(runAgainstModel(p, seed, 400, 8), 30u);
+}
+
+TEST(LaunchPathAllocations, FarFewerThanLaunches)
+{
+    // A seeded 32x32 uniform unicast run past the knee: after a
+    // warm-up that grows the queues, scratch lists and delivery
+    // vector to their steady size, the launch path (program memo,
+    // contiguous buffers) allocates nothing; what remains is mostly
+    // the NIC queue, a deque that allocates a block per few accepted
+    // packets — about one allocation per 24 launches. Deque-backed
+    // router queues allocated one per 2-3 launches here.
+    PhastlaneParams p;
+    p.meshWidth = 32;
+    p.meshHeight = 32;
+    p.seed = 7;
+    PhastlaneNetwork net(p);
+    Rng rng(11);
+    PacketId next_id = 1;
+    const auto run = [&](int cycles) {
+        for (int c = 0; c < cycles; ++c) {
+            for (NodeId n = 0; n < net.nodeCount(); ++n) {
+                if (!rng.bernoulli(0.08))
+                    continue;
+                Packet pkt;
+                pkt.id = next_id++;
+                pkt.src = n;
+                pkt.dst = static_cast<NodeId>(
+                    rng.uniformInt(0, net.nodeCount() - 2));
+                if (pkt.dst >= n)
+                    ++pkt.dst;
+                net.inject(pkt);
+            }
+            net.step();
+        }
+    };
+    run(200);
+    const PhastlaneCounters before = net.phastlaneCounters();
+    const uint64_t allocs_before = g_heapAllocs;
+    run(300);
+    const uint64_t allocs = g_heapAllocs - allocs_before;
+    const PhastlaneCounters &after = net.phastlaneCounters();
+    const uint64_t launches = after.launches - before.launches;
+    const uint64_t pushes =
+        (after.blockedBuffered - before.blockedBuffered) +
+        (after.interimAccepts - before.interimAccepts);
+    ASSERT_GT(launches, 50000u);
+    ASSERT_GT(pushes, 20000u);
+    EXPECT_LT(allocs * 10, launches)
+        << allocs << " allocations over " << launches << " launches and "
+        << pushes << " buffer pushes";
 }
 
 } // namespace

@@ -130,5 +130,30 @@ TEST(FaultSweep, JsonContainsEveryPoint)
               std::string::npos);
 }
 
+TEST(FaultSweep, JsonHeaderNamesTheNetwork)
+{
+    FaultSweepConfig cfg = smallSweep();
+    const std::string small = faultSweepToJson(cfg, {});
+    EXPECT_NE(small.find("\"mesh\": \"4x4\""), std::string::npos);
+    EXPECT_NE(small.find("\"wavefront\": \"bitplane\""),
+              std::string::npos);
+    EXPECT_NE(small.find("\"buffer_entries\": 10"), std::string::npos);
+    EXPECT_NE(small.find("\"admission\": {\"policy\": \"none\""),
+              std::string::npos);
+    cfg.params.meshWidth = 8;
+    cfg.params.meshHeight = 8;
+    const std::string big = faultSweepToJson(cfg, {});
+    EXPECT_NE(small, big);
+    EXPECT_NE(big.find("\"mesh\": \"8x8\""), std::string::npos);
+}
+
+TEST(FaultSweepDeathTest, WriteSurfacesFullDisk)
+{
+    // /dev/full accepts the open but fails the flush: an unchecked
+    // fwrite/fclose would leave a silently truncated file.
+    const FaultSweepConfig cfg = smallSweep();
+    EXPECT_DEATH(writeFaultSweepJson(cfg, {}, "/dev/full"), "");
+}
+
 } // namespace
 } // namespace phastlane::sim

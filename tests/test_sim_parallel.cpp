@@ -1,17 +1,20 @@
 /**
  * @file
  * Tests of the parallel simulation harness (common/parallel.hpp): the
- * work-stealing pool itself, and the determinism contract -- sweeps,
- * experiments and fault sweeps produce bit-identical results in every
- * sim::runJobs mode (serial, ganged, parallel) at any thread count and
- * gang size.
+ * pool itself, and the determinism contract -- sweeps, experiments and
+ * fault sweeps produce bit-identical results in every sim::runJobs
+ * mode (serial, ganged, parallel) at any thread count and gang size.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -61,6 +64,41 @@ TEST(ThreadPool, PropagatesTheFirstException)
     std::atomic<int> ran{0};
     pool.run(8, [&](size_t) { ++ran; });
     EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPool, ClaimsTheHighestIndexFirst)
+{
+    // Campaign points rise in cost with their index, so the pool
+    // starts the last one first (longest-first scheduling).
+    ThreadPool pool(3);
+    constexpr size_t kN = 50;
+    std::atomic<size_t> started{0};
+    std::vector<size_t> order(kN);
+    pool.run(kN, [&](size_t i) {
+        order[started.fetch_add(1, std::memory_order_relaxed)] = i;
+    });
+    EXPECT_EQ(order.front(), kN - 1);
+    std::sort(order.begin(), order.end());
+    for (size_t i = 0; i < kN; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, NeverRunsMoreWorkersThanCores)
+{
+    const size_t cores =
+        std::max(1u, std::thread::hardware_concurrency());
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    parallelFor(
+        4 * cores,
+        [&](size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            std::lock_guard<std::mutex> lock(mu);
+            seen.insert(std::this_thread::get_id());
+        },
+        static_cast<int>(4 * cores));
+    EXPECT_GE(seen.size(), 1u);
+    EXPECT_LE(seen.size(), cores);
 }
 
 TEST(ParallelFor, SerialAndZeroSizedEdgeCases)
