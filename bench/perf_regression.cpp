@@ -16,11 +16,6 @@
  *      the 1-thread run and its parallel efficiency, normalized by
  *      the attainable speedup min(threads, hardware_concurrency) so a
  *      2-core CI box is not asked to show an 8x speedup.
- *   3. Batched multi-sim throughput (DESIGN.md §13): 64 independent
- *      8x8 instances at the default offered load, stepped serially
- *      one-after-another versus in one lockstep NetworkBatch gang.
- *      Gated (with --baseline) on the batched/serial speedup staying
- *      above --multisim-floor (default 1.3).
  *
  * Emits BENCH_perf.json (override with --out <path>) so the perf
  * trajectory is tracked across PRs; --quick shrinks the workload for
@@ -48,17 +43,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
-#include "core/batch.hpp"
 #include "core/network.hpp"
 #include "sim/configs.hpp"
-#include "sim/multisim.hpp"
 #include "sim/sweep.hpp"
 #include "traffic/patterns.hpp"
 
@@ -235,163 +227,6 @@ main(int argc, char **argv)
                     pt.expectedSpeedup);
     }
 
-    // 3. Batched multi-sim (DESIGN.md §13): the same 64 default-shape
-    // instances advanced serially one-after-another versus quantum-
-    // interleaved through one NetworkBatch. Identical per-instance
-    // work and results either way; the batch wins by skipping idle
-    // infrastructure (launch boards, NIC occupancy planes) across the
-    // gang. The default load is a light below-saturation sweep point —
-    // the regime multi-sim exists for (sweeps and fault campaigns run
-    // dozens of mostly-idle points) and the one where engine overhead,
-    // not shared traffic work, decides the outcome.
-    const int msim_instances = static_cast<int>(
-        opts.raw.getInt("multisim-instances", 64));
-    const uint64_t msim_cycles = static_cast<uint64_t>(opts.raw.getInt(
-        "multisim-cycles",
-        static_cast<int64_t>(opts.quick ? 1500 : 4000)));
-    const double msim_rate =
-        opts.raw.getDouble("multisim-rate", 0.005);
-    // Injection schedules are drawn before the clock starts: traffic
-    // generation is common to both arms and benchmarking it would only
-    // dilute the engine comparison.
-    struct MsimInjection {
-        uint32_t cycle;
-        NodeId src;
-        NodeId dst;
-    };
-    std::vector<std::vector<MsimInjection>> msim_sched(
-        static_cast<size_t>(msim_instances));
-    {
-        const core::PhastlaneParams sched_params;
-        const MeshTopology sched_mesh(sched_params.meshWidth,
-                                      sched_params.meshHeight);
-        for (int i = 0; i < msim_instances; ++i) {
-            Rng rng(7 + i);
-            auto &sched = msim_sched[static_cast<size_t>(i)];
-            for (uint64_t c = 0; c < msim_cycles; ++c) {
-                for (NodeId n = 0; n < sched_mesh.nodeCount(); ++n) {
-                    if (!rng.bernoulli(msim_rate))
-                        continue;
-                    msim_sched[static_cast<size_t>(i)].push_back(
-                        MsimInjection{static_cast<uint32_t>(c), n,
-                                      traffic::destination(
-                                          traffic::Pattern::UniformRandom,
-                                          n, sched_mesh, rng)});
-                }
-            }
-            sched.shrink_to_fit();
-        }
-    }
-    // Replay cursor per instance: schedules are cycle-ascending, so
-    // each timed cycle injects a contiguous run of the schedule.
-    const auto msimInject = [&](core::PhastlaneNetwork &net, int i,
-                                size_t &cursor, PacketId &id,
-                                uint64_t c) {
-        const auto &sched = msim_sched[static_cast<size_t>(i)];
-        while (cursor < sched.size() && sched[cursor].cycle == c) {
-            Packet p;
-            p.id = id++;
-            p.src = sched[cursor].src;
-            p.dst = sched[cursor].dst;
-            p.createdAt = net.now();
-            net.inject(p);
-            ++cursor;
-        }
-    };
-    // Both arms construct their networks before the clock starts:
-    // the comparison is stepping cost, not construction cost.
-    const auto msimMakeNets = [&]() {
-        std::vector<std::unique_ptr<core::PhastlaneNetwork>> nets;
-        for (int i = 0; i < msim_instances; ++i) {
-            core::PhastlaneParams p;
-            p.seed = 9000 + static_cast<uint64_t>(i);
-            nets.push_back(
-                std::make_unique<core::PhastlaneNetwork>(p));
-        }
-        return nets;
-    };
-    const auto msimSerialSecs = [&]() {
-        auto nets = msimMakeNets();
-        const double start = cpuSeconds();
-        for (int i = 0; i < msim_instances; ++i) {
-            core::PhastlaneNetwork &net =
-                *nets[static_cast<size_t>(i)];
-            size_t cursor = 0;
-            PacketId id = 1;
-            for (uint64_t c = 0; c < msim_cycles; ++c) {
-                msimInject(net, i, cursor, id, c);
-                net.step();
-            }
-        }
-        return cpuSeconds() - start;
-    };
-    const auto msimBatchedSecs = [&]() {
-        auto nets = msimMakeNets();
-        std::vector<size_t> cursors(
-            static_cast<size_t>(msim_instances), 0);
-        std::vector<PacketId> ids(
-            static_cast<size_t>(msim_instances), 1);
-        core::NetworkBatch batch;
-        for (int i = 0; i < msim_instances; ++i)
-            batch.attach(*nets[static_cast<size_t>(i)]);
-        // Same quantum interleave as sim::MultiSim::runGang.
-        const uint64_t quantum = static_cast<uint64_t>(opts.raw.getInt(
-            "multisim-quantum", sim::MultiSim::kCycleQuantum));
-        const double start = cpuSeconds();
-        for (uint64_t c = 0; c < msim_cycles; c += quantum) {
-            const uint64_t span =
-                std::min<uint64_t>(quantum, msim_cycles - c);
-            for (int i = 0; i < msim_instances; ++i) {
-                for (uint64_t q = 0; q < span; ++q) {
-                    msimInject(*nets[static_cast<size_t>(i)], i,
-                               cursors[static_cast<size_t>(i)],
-                               ids[static_cast<size_t>(i)], c + q);
-                    batch.stepInstance(static_cast<size_t>(i));
-                }
-            }
-        }
-        const double secs = cpuSeconds() - start;
-        batch.detachAll();
-        return secs;
-    };
-    // The box's clock scaling moves even CPU-time throughput by tens
-    // of percent between samples, so the gate statistic is the median
-    // of per-pair ratios: each serial sample is ratioed against the
-    // batched sample taken right next to it (near-identical clock
-    // state), and the median across pairs rejects the outlier pairs a
-    // frequency step lands in the middle of. The absolute rates
-    // reported are each arm's fastest sample.
-    double msim_serial_secs = 0.0;
-    double msim_batched_secs = 0.0;
-    std::vector<double> msim_ratios;
-    for (int rep = 0; rep < 3; ++rep) {
-        const double s = msimSerialSecs();
-        const double b = msimBatchedSecs();
-        msim_serial_secs = rep == 0 ? s : std::min(msim_serial_secs, s);
-        msim_batched_secs =
-            rep == 0 ? b : std::min(msim_batched_secs, b);
-        if (b > 0.0)
-            msim_ratios.push_back(s / b);
-    }
-    std::sort(msim_ratios.begin(), msim_ratios.end());
-    const double msim_total_cycles =
-        static_cast<double>(msim_cycles) * msim_instances;
-    const double msim_serial_rate =
-        msim_serial_secs > 0.0 ? msim_total_cycles / msim_serial_secs
-                               : 0.0;
-    const double msim_batched_rate =
-        msim_batched_secs > 0.0
-            ? msim_total_cycles / msim_batched_secs
-            : 0.0;
-    const double msim_speedup =
-        msim_ratios.empty() ? 0.0
-                            : msim_ratios[msim_ratios.size() / 2];
-    std::printf("multi-sim %d x 8x8 @ rate %.3f: serial %.0f "
-                "cycles/sec, batched %.0f cycles/sec "
-                "(speedup %.2fx, CPU time)\n",
-                msim_instances, msim_rate, msim_serial_rate,
-                msim_batched_rate, msim_speedup);
-
     // Gate before writing: a failing run must not refresh the
     // baseline it just failed against.
     const std::string baseline = opts.raw.getString("baseline", "");
@@ -439,21 +274,6 @@ main(int argc, char **argv)
                              min_eff, eff_need);
                 return 1;
             }
-            // Batched multi-sim leg: the lockstep gang must beat
-            // stepping the same instances serially by the floor
-            // factor (self-relative — both sides measured this run).
-            const double msim_floor =
-                opts.raw.getDouble("multisim-floor", 1.3);
-            std::printf("gate: multi-sim batched speedup %.2fx "
-                        "(floor %.2fx)\n",
-                        msim_speedup, msim_floor);
-            if (msim_speedup < msim_floor) {
-                std::fprintf(stderr,
-                             "FAIL: batched multi-sim speedup "
-                             "%.2fx fell below floor %.2fx\n",
-                             msim_speedup, msim_floor);
-                return 1;
-            }
         }
     }
 
@@ -490,27 +310,7 @@ main(int argc, char **argv)
                 pt.expectedSpeedup, pt.efficiency,
                 i + 1 < sweep.size() ? "," : "");
         }
-        std::fprintf(f, "  ],\n");
-        // Batched multi-sim record (DESIGN.md §13); the speedup is
-        // self-relative (serial and batched measured in this run), so
-        // the gate holds on any machine.
-        std::fprintf(f, "  \"multi_sim\": {\n");
-        std::fprintf(f,
-                     "    \"instances\": %d, \"width\": 8, "
-                     "\"height\": 8, \"cycles\": %llu, "
-                     "\"rate\": %.3f,\n",
-                     msim_instances,
-                     static_cast<unsigned long long>(msim_cycles),
-                     msim_rate);
-        std::fprintf(f,
-                     "    \"serial_cycles_per_sec\": %.1f,\n",
-                     msim_serial_rate);
-        std::fprintf(f,
-                     "    \"batched_cycles_per_sec\": %.1f,\n",
-                     msim_batched_rate);
-        std::fprintf(f, "    \"batched_speedup\": %.3f\n",
-                     msim_speedup);
-        std::fprintf(f, "  }\n}\n");
+        std::fprintf(f, "  ]\n}\n");
         std::fclose(f);
         std::printf("[perf json written to %s]\n", path.c_str());
         return true;

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "check/checked_network.hpp"
 #include "common/config.hpp"
@@ -32,9 +33,9 @@
 #include "sim/configs.hpp"
 #include "sim/fault_sweep.hpp"
 #include "sim/metrics.hpp"
-#include "sim/multisim.hpp"
 #include "sim/replay.hpp"
 #include "sim/report.hpp"
+#include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 #include "traffic/coherence.hpp"
 #include "traffic/splash.hpp"
@@ -310,14 +311,11 @@ main(int argc, char **argv)
             "(e.g. 32x32, 9x7)\n"
             "    --batch B         synthetic workloads: run B "
             "instances with seeds\n"
-            "            seed..seed+B-1 in one lockstep gang "
-            "(DESIGN.md §13) and print\n"
-            "            per-seed plus aggregate results. "
-            "Incompatible with --check,\n"
-            "            --reliable, observability sinks, and "
-            "--wavefront global.\n"
-            "            In fault-sweep mode, sets the sweep's "
-            "gang size.\n"
+            "            seed..seed+B-1 (on --threads N workers) "
+            "and print per-seed\n"
+            "            plus aggregate results. Incompatible with "
+            "--check, --reliable,\n"
+            "            observability sinks and --fault-sweep-out.\n"
             "  checking: --check (run under the invariant checker "
             "and, where supported,\n"
             "            in lockstep with the reference oracle; "
@@ -342,8 +340,7 @@ main(int argc, char **argv)
             "delivered/latency/starvation CSV\n"
             "  fault sweep (writes JSON and exits):\n"
             "    --fault-sweep-out F.json [--fault-field NAME]\n"
-            "    [--fault-max R --fault-steps N] [--threads N] "
-            "[--batch B]\n"
+            "    [--fault-max R --fault-steps N] [--threads N]\n"
             "    [--mesh WxH] [--wavefront M] apply to every point\n"
             "  configs: Optical4/5/8, Optical4B32/B64/IB, "
             "Electrical2/3\n");
@@ -369,6 +366,8 @@ main(int argc, char **argv)
         if (!pl)
             panic("--fault-sweep-out supports optical (Phastlane) "
                   "configurations only");
+        if (args.has("batch"))
+            fatal("--batch does not apply to --fault-sweep-out");
         sim::FaultSweepConfig fs;
         fs.params = pl->params();
         probe.reset();
@@ -400,7 +399,6 @@ main(int argc, char **argv)
             static_cast<Cycle>(args.getInt("measure", 2000));
         fs.seed = seed;
         fs.threads = static_cast<int>(args.getInt("threads", 0));
-        fs.batch = static_cast<int>(args.getInt("batch", 0));
         fs.reliable = args.getBool("reliable", true);
         const auto points = sim::runFaultSweep(fs);
         for (const auto &p : points) {
@@ -616,9 +614,9 @@ main(int argc, char **argv)
             static_cast<Cycle>(args.getInt("measure", 5000));
         sc.seed = seed;
         // --batch B: replicate the run B times with seeds
-        // seed..seed+B-1 and advance every replica in lockstep
-        // through the batched engine (DESIGN.md §13). Each replica's
-        // results are bit-identical to running it alone.
+        // seed..seed+B-1 through sim::runJobs (in parallel with
+        // --threads). Each replica's results are bit-identical to
+        // running it alone.
         const int batch =
             static_cast<int>(args.getInt("batch", 1));
         if (batch > 1) {
@@ -630,21 +628,22 @@ main(int argc, char **argv)
                       "--trace/--metrics-out/--heatmap-csv");
             auto *pl =
                 dynamic_cast<core::PhastlaneNetwork *>(net.get());
-            if (!pl || !sim::batchable(*pl))
-                panic("--batch requires a batch-eligible optical "
-                      "configuration (no --wavefront global)");
+            if (!pl)
+                panic("--batch requires an optical configuration");
             if (args.getBool("metrics", false) ||
                 args.getBool("power", false) ||
                 args.getBool("heatmap", false))
                 warn("--batch reports per-seed summaries only; "
                      "--metrics/--power/--heatmap are skipped");
             using SynthJob = sim::DriverJob<traffic::SyntheticDriver>;
-            double offered = 0.0;
-            double accepted = 0.0;
-            double latency = 0.0;
-            int saturated = 0;
+            // Replicas may finish on any worker, in any order: collect
+            // each one's result in its own slot and print in seed
+            // order afterwards.
+            std::vector<traffic::SyntheticResult> results(
+                static_cast<size_t>(batch));
             sim::runJobs(
-                static_cast<size_t>(batch), 1, batch,
+                results.size(),
+                static_cast<int>(args.getInt("threads", 0)),
                 [&](size_t i) {
                     core::PhastlaneParams p = pl->params();
                     p.seed = seed + i;
@@ -653,23 +652,29 @@ main(int argc, char **argv)
                     return std::make_unique<SynthJob>(
                         std::make_unique<core::PhastlaneNetwork>(p), si);
                 },
-                [&](size_t i, sim::MultiSim::Job &job) {
-                    const auto r =
+                [&](size_t i, sim::Job &job) {
+                    results[i] =
                         static_cast<SynthJob &>(job).driver().finish();
-                    std::printf(
-                        "seed %llu: offered %.4f accepted %.4f "
-                        "pkt/node/cycle, avg latency %.1f (p99 %.1f)%s\n",
-                        static_cast<unsigned long long>(seed + i),
-                        r.offeredRate, r.acceptedRate, r.avgLatency,
-                        r.p99Latency,
-                        r.saturated ? " [saturated]" : "");
-                    offered += r.offeredRate;
-                    accepted += r.acceptedRate;
-                    latency += r.avgLatency;
-                    saturated += r.saturated ? 1 : 0;
                     return true;
                 },
                 false);
+            double offered = 0.0;
+            double accepted = 0.0;
+            double latency = 0.0;
+            int saturated = 0;
+            for (size_t i = 0; i < results.size(); ++i) {
+                const auto &r = results[i];
+                std::printf(
+                    "seed %llu: offered %.4f accepted %.4f "
+                    "pkt/node/cycle, avg latency %.1f (p99 %.1f)%s\n",
+                    static_cast<unsigned long long>(seed + i),
+                    r.offeredRate, r.acceptedRate, r.avgLatency,
+                    r.p99Latency, r.saturated ? " [saturated]" : "");
+                offered += r.offeredRate;
+                accepted += r.acceptedRate;
+                latency += r.avgLatency;
+                saturated += r.saturated ? 1 : 0;
+            }
             std::printf(
                 "batch %d aggregate: offered %.4f accepted %.4f "
                 "pkt/node/cycle, mean latency %.1f "

@@ -29,7 +29,7 @@ PhastlaneNetwork::PhastlaneNetwork(const PhastlaneParams &params)
       returnPaths_(mesh_.nodeCount()),
       bitMesh_(params.meshWidth, params.meshHeight),
       unicastProgs_(mesh_, params.maxHopsPerCycle),
-      ownScratch_(mesh_.nodeCount())
+      scratch_(mesh_.nodeCount())
 {
     if (params_.maxHopsPerCycle < 1)
         fatal("maxHopsPerCycle must be at least 1");
@@ -59,6 +59,12 @@ PhastlaneNetwork::PhastlaneNetwork(const PhastlaneParams &params)
     const size_t flat_ports =
         static_cast<size_t>(mesh_.nodeCount()) * kMeshPorts;
     portClaimCounts_.assign(flat_ports, 0);
+    launchBoard_.assign(static_cast<size_t>(mesh_.nodeCount()),
+                        kNeverCycle);
+    for (size_t r = 0; r < routers_.size(); ++r)
+        routers_[r].bindBoard(&launchBoard_[r]);
+    nicBusy_.assign((static_cast<size_t>(mesh_.nodeCount()) + 63) / 64,
+                    0);
 }
 
 bool
@@ -97,9 +103,8 @@ PhastlaneNetwork::inject(const Packet &pkt)
     }
     const size_t nic_before = nic.occupancy();
     nic.accept(pkt, cycle_, nextBranchId_);
-    if (batchNicOcc_ != nullptr)
-        batchNicOcc_[static_cast<size_t>(pkt.src) >> 6] |=
-            uint64_t{1} << (static_cast<size_t>(pkt.src) & 63);
+    nicBusy_[static_cast<size_t>(pkt.src) >> 6] |=
+        uint64_t{1} << (static_cast<size_t>(pkt.src) & 63);
     ++counters_.messagesAccepted;
     outstanding_ +=
         static_cast<uint64_t>(pkt.deliveryCount(mesh_.nodeCount()));
@@ -164,13 +169,13 @@ PhastlaneNetwork::dropRetryCycle(int attempts)
 bool
 PhastlaneNetwork::claimed(NodeId router, Port out) const
 {
-    return scratch_->claims.test(router, out);
+    return scratch_.claims.test(router, out);
 }
 
 void
 PhastlaneNetwork::setClaim(NodeId router, Port out)
 {
-    scratch_->claims.set(router, out);
+    scratch_.claims.set(router, out);
     ++portClaimCounts_[static_cast<size_t>(router) * kMeshPorts +
                        portIndex(out)];
 }
@@ -244,16 +249,29 @@ PhastlaneNetwork::resolveOutcomes()
 void
 PhastlaneNetwork::nicToLocalQueues()
 {
-    for (NodeId n = 0; n < mesh_.nodeCount(); ++n) {
-        auto &nic = nics_[static_cast<size_t>(n)];
-        auto &rb = routers_[static_cast<size_t>(n)];
-        // The electrical NIC-to-router transfer costs one cycle; the
-        // packet becomes launchable in the next arbitration.
-        for (int i = 0; i < params_.nicTransfersPerCycle &&
-                        !nic.empty() && rb.hasSpace(Port::Local);
-             ++i) {
-            nic.popHeadInto(
-                rb.emplaceEntry(Port::Local, cycle_ + 1).pkt);
+    // NICs fill only through inject(), which sets their bit, and drain
+    // only here, which clears it once the queue is empty, so the set
+    // bits are exactly the non-empty NICs. Walking them in ascending
+    // node order visits what a scan of every node would act on, in
+    // the same order.
+    for (size_t w = 0; w < nicBusy_.size(); ++w) {
+        uint64_t bits = nicBusy_[w];
+        while (bits != 0) {
+            const int b = __builtin_ctzll(bits);
+            bits &= bits - 1;
+            const size_t n = w * 64 + static_cast<size_t>(b);
+            auto &nic = nics_[n];
+            auto &rb = routers_[n];
+            // The electrical NIC-to-router transfer costs one cycle;
+            // the packet becomes launchable in the next arbitration.
+            for (int i = 0; i < params_.nicTransfersPerCycle &&
+                            !nic.empty() && rb.hasSpace(Port::Local);
+                 ++i) {
+                nic.popHeadInto(
+                    rb.emplaceEntry(Port::Local, cycle_ + 1).pkt);
+            }
+            if (nic.empty())
+                nicBusy_[w] &= ~(uint64_t{1} << b);
         }
     }
 }
@@ -261,15 +279,22 @@ PhastlaneNetwork::nicToLocalQueues()
 void
 PhastlaneNetwork::launchPhase()
 {
-    scratch_->flights.clear();
-    for (NodeId r = 0; r < mesh_.nodeCount(); ++r)
+    scratch_.flights.clear();
+    for (NodeId r = 0; r < mesh_.nodeCount(); ++r) {
+        // A slot in the future means arbitrate() would return at once,
+        // its only effect the rotating-pointer advance that
+        // syncRotate() replays before the next real call.
+        if (launchBoard_[static_cast<size_t>(r)] > cycle_)
+            continue;
+        routers_[static_cast<size_t>(r)].syncRotate(cycle_);
         launchRouter(r);
+    }
 }
 
 void
 PhastlaneNetwork::launchRouter(NodeId r)
 {
-    std::vector<Flight> &flights = scratch_->flights;
+    std::vector<Flight> &flights = scratch_.flights;
     {
         auto &rb = routers_[static_cast<size_t>(r)];
         rb.arbitrate(
@@ -277,8 +302,8 @@ PhastlaneNetwork::launchRouter(NodeId r)
             [&](const OpticalPacket &pkt) {
                 return desiredPort(r, pkt);
             },
-            scratch_->arb);
-        for (auto &[entry, out, queue] : scratch_->arb.launches) {
+            scratch_.arb);
+        for (auto &[entry, out, queue] : scratch_.arb.launches) {
             ++events_.launches;
             ++events_.bufferReads;
             ++pl_.launches;
@@ -551,10 +576,10 @@ PhastlaneNetwork::applyPassWin(std::vector<Flight> &flights,
 void
 PhastlaneNetwork::propagateSubstepFcfs(std::vector<Flight> &flights)
 {
-    std::vector<size_t> &active = scratch_->active;
-    std::vector<size_t> &next = scratch_->nextActive;
-    std::vector<PassRequest> &requests = scratch_->requests;
-    std::vector<uint32_t> &order = scratch_->order;
+    std::vector<size_t> &active = scratch_.active;
+    std::vector<size_t> &next = scratch_.nextActive;
+    std::vector<PassRequest> &requests = scratch_.requests;
+    std::vector<uint32_t> &order = scratch_.order;
 
     active.clear();
     for (size_t i = 0; i < flights.size(); ++i)
@@ -645,8 +670,8 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
     // engine; phase B replaces its sort-and-group claim resolution:
     //
     //  - one bit per router, one plane per output port, records which
-    //    (router, port) pairs are requested (scratch_->reqOnce) and which are
-    //    requested more than once (scratch_->reqMulti);
+    //    (router, port) pairs are requested (scratch_.reqOnce) and which are
+    //    requested more than once (scratch_.reqMulti);
     //  - uncontested grants fall out of plane algebra, 64 routers per
     //    word op: win = once & ~multi & ~claimed;
     //  - the sweep visits requested routers via ctz scans of the OR of
@@ -659,9 +684,9 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
     // outcomes, RNG draws, deliveries) is applied in the scalar order;
     // the differential oracle and golden pins hold the two engines to
     // bit-identical results.
-    std::vector<size_t> &active = scratch_->active;
-    std::vector<size_t> &next = scratch_->nextActive;
-    std::vector<PassRequest> &requests = scratch_->requests;
+    std::vector<size_t> &active = scratch_.active;
+    std::vector<size_t> &next = scratch_.nextActive;
+    std::vector<PassRequest> &requests = scratch_.requests;
 
     active.clear();
     for (size_t i = 0; i < flights.size(); ++i)
@@ -680,42 +705,42 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
         // Build the request planes and, per requested port, the
         // arrival-ordered request chain (epoch-tagged so the flat
         // head/tail tables never need clearing).
-        scratch_->reqOnce.clear();
-        scratch_->reqMulti.clear();
-        scratch_->reqNext.resize(requests.size());
-        ++scratch_->reqEpochCur;
+        scratch_.reqOnce.clear();
+        scratch_.reqMulti.clear();
+        scratch_.reqNext.resize(requests.size());
+        ++scratch_.reqEpochCur;
         for (uint32_t ri = 0;
              ri < static_cast<uint32_t>(requests.size()); ++ri) {
             const PassRequest &r = requests[ri];
             const size_t key =
                 static_cast<size_t>(r.router) * kMeshPorts +
                 portIndex(r.out);
-            scratch_->reqNext[ri] = UINT32_MAX;
-            if (scratch_->reqEpoch[key] != scratch_->reqEpochCur) {
-                scratch_->reqEpoch[key] = scratch_->reqEpochCur;
-                scratch_->reqHead[key] = ri;
-                scratch_->reqTail[key] = ri;
-                scratch_->reqOnce.set(r.router, r.out);
+            scratch_.reqNext[ri] = UINT32_MAX;
+            if (scratch_.reqEpoch[key] != scratch_.reqEpochCur) {
+                scratch_.reqEpoch[key] = scratch_.reqEpochCur;
+                scratch_.reqHead[key] = ri;
+                scratch_.reqTail[key] = ri;
+                scratch_.reqOnce.set(r.router, r.out);
             } else {
-                scratch_->reqNext[scratch_->reqTail[key]] = ri;
-                scratch_->reqTail[key] = ri;
-                scratch_->reqMulti.set(r.router, r.out);
+                scratch_.reqNext[scratch_.reqTail[key]] = ri;
+                scratch_.reqTail[key] = ri;
+                scratch_.reqMulti.set(r.router, r.out);
             }
         }
 
         // Uncontested-grant planes: win = once & ~multi & ~claimed.
         for (int pi = 0; pi < kMeshPorts; ++pi) {
             const Port p = portFromIndex(pi);
-            bitplane::andnot2(scratch_->reqOnce.plane(p), scratch_->reqMulti.plane(p),
-                              scratch_->claims.plane(p), scratch_->reqWin.plane(p),
+            bitplane::andnot2(scratch_.reqOnce.plane(p), scratch_.reqMulti.plane(p),
+                              scratch_.claims.plane(p), scratch_.reqWin.plane(p),
                               words);
         }
 
         for (int w = 0; w < words; ++w) {
-            uint64_t any = scratch_->reqOnce.plane(Port::North)[w] |
-                           scratch_->reqOnce.plane(Port::East)[w] |
-                           scratch_->reqOnce.plane(Port::South)[w] |
-                           scratch_->reqOnce.plane(Port::West)[w];
+            uint64_t any = scratch_.reqOnce.plane(Port::North)[w] |
+                           scratch_.reqOnce.plane(Port::East)[w] |
+                           scratch_.reqOnce.plane(Port::South)[w] |
+                           scratch_.reqOnce.plane(Port::West)[w];
             while (any != 0) {
                 const int bit = __builtin_ctzll(any);
                 any &= any - 1;
@@ -724,16 +749,16 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                 const uint64_t m = uint64_t{1} << bit;
                 for (int pi = 0; pi < kMeshPorts; ++pi) {
                     const Port out = portFromIndex(pi);
-                    if ((scratch_->reqOnce.plane(out)[w] & m) == 0)
+                    if ((scratch_.reqOnce.plane(out)[w] & m) == 0)
                         continue;
                     const size_t key =
                         static_cast<size_t>(router) * kMeshPorts +
                         static_cast<size_t>(pi);
-                    if ((scratch_->reqWin.plane(out)[w] & m) != 0) {
+                    if ((scratch_.reqWin.plane(out)[w] & m) != 0) {
                         // Single requester, port free: grant without
                         // touching the rank logic.
                         applyPassWin(flights,
-                                     requests[scratch_->reqHead[key]].flight,
+                                     requests[scratch_.reqHead[key]].flight,
                                      router, out, next);
                         continue;
                     }
@@ -741,7 +766,7 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                     // launch phase (then every requester loses).
                     uint32_t winner = UINT32_MAX;
                     if (!claimed(router, out)) {
-                        winner = scratch_->reqHead[key];
+                        winner = scratch_.reqHead[key];
                         if (fixed_priority) {
                             const auto rank = [&](uint32_t ri) {
                                 const PassRequest &r = requests[ri];
@@ -753,8 +778,8 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                                     portIndex(
                                         flights[r.flight].inPort));
                             };
-                            for (uint32_t ri = scratch_->reqNext[winner];
-                                 ri != UINT32_MAX; ri = scratch_->reqNext[ri]) {
+                            for (uint32_t ri = scratch_.reqNext[winner];
+                                 ri != UINT32_MAX; ri = scratch_.reqNext[ri]) {
                                 if (rank(ri) < rank(winner))
                                     winner = ri;
                             }
@@ -770,15 +795,15 @@ PhastlaneNetwork::propagateBitplane(std::vector<Flight> &flights)
                                 return (p - start + kMeshPorts) %
                                        kMeshPorts;
                             };
-                            for (uint32_t ri = scratch_->reqNext[winner];
-                                 ri != UINT32_MAX; ri = scratch_->reqNext[ri]) {
+                            for (uint32_t ri = scratch_.reqNext[winner];
+                                 ri != UINT32_MAX; ri = scratch_.reqNext[ri]) {
                                 if (rrRank(ri) < rrRank(winner))
                                     winner = ri;
                             }
                         }
                     }
-                    for (uint32_t ri = scratch_->reqHead[key];
-                         ri != UINT32_MAX; ri = scratch_->reqNext[ri]) {
+                    for (uint32_t ri = scratch_.reqHead[key];
+                         ri != UINT32_MAX; ri = scratch_.reqNext[ri]) {
                         if (ri == winner) {
                             applyPassWin(flights, requests[ri].flight,
                                          router, out, next);
@@ -803,7 +828,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
     // blocked, which is conservative when its blocker is itself
     // blocked upstream.
     const size_t n = flights.size();
-    std::vector<Itinerary> &its = scratch_->its;
+    std::vector<Itinerary> &its = scratch_.its;
     its.resize(n);
     for (size_t i = 0; i < n; ++i) {
         its[i].claims.clear();
@@ -835,7 +860,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
     }
 
     // blocked[i] = index of the first losing claim (SIZE_MAX: none).
-    std::vector<size_t> &blocked = scratch_->blocked;
+    std::vector<size_t> &blocked = scratch_.blocked;
     blocked.assign(n, SIZE_MAX);
     // Rank per claim, lower wins: straight-ness, then input port,
     // then flight index -- packed into one word so the flat winner
@@ -855,9 +880,9 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
         // Winner per (router, port) among still-active claims;
         // launches (claim index 0 at the launch router) outrank
         // everything, then straight, then turn, then input port.
-        // scratch_->bestEpoch tags which flat slots are live this round, so
+        // scratch_.bestEpoch tags which flat slots are live this round, so
         // the tables need no clearing between fixed-point rounds.
-        ++scratch_->resolveEpoch;
+        ++scratch_.resolveEpoch;
         for (size_t i = 0; i < n; ++i) {
             const auto &cl = its[i].claims;
             const size_t limit = std::min(blocked[i], cl.size());
@@ -871,11 +896,11 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
                     static_cast<size_t>(cl[k].router) * kMeshPorts +
                     portIndex(cl[k].out);
                 const uint64_t rank = packedRank(cl[k], i);
-                if (scratch_->bestEpoch[key] != scratch_->resolveEpoch ||
-                    rank < scratch_->bestRank[key]) {
-                    scratch_->bestEpoch[key] = scratch_->resolveEpoch;
-                    scratch_->bestRank[key] = rank;
-                    scratch_->bestFlight[key] = static_cast<uint32_t>(i);
+                if (scratch_.bestEpoch[key] != scratch_.resolveEpoch ||
+                    rank < scratch_.bestRank[key]) {
+                    scratch_.bestEpoch[key] = scratch_.resolveEpoch;
+                    scratch_.bestRank[key] = rank;
+                    scratch_.bestFlight[key] = static_cast<uint32_t>(i);
                 }
             }
         }
@@ -888,7 +913,7 @@ PhastlaneNetwork::propagateGlobalPriority(std::vector<Flight> &flights)
                     portIndex(cl[k].out);
                 const bool loses =
                     claimed(cl[k].router, cl[k].out) ||
-                    scratch_->bestFlight[key] != i;
+                    scratch_.bestFlight[key] != i;
                 if (loses) {
                     blocked[i] = k;
                     changed = true;
@@ -958,7 +983,7 @@ PhastlaneNetwork::step()
     if (observer_)
         observer_->onCycleBegin(cycle_);
     deliveries_.clear();
-    scratch_->claims.clear();
+    scratch_.claims.clear();
     returnPaths_.beginCycle();
 
     resolveOutcomes();
@@ -966,13 +991,13 @@ PhastlaneNetwork::step()
     launchPhase();
     switch (params_.wavefront) {
       case WavefrontModel::SubstepFcfs:
-        propagateSubstepFcfs(scratch_->flights);
+        propagateSubstepFcfs(scratch_.flights);
         break;
       case WavefrontModel::BitplaneFcfs:
-        propagateBitplane(scratch_->flights);
+        propagateBitplane(scratch_.flights);
         break;
       case WavefrontModel::GlobalPriority:
-        propagateGlobalPriority(scratch_->flights);
+        propagateGlobalPriority(scratch_.flights);
         break;
     }
 

@@ -13,6 +13,9 @@
  *   4. the optical wavefront propagates: packets cross up to
  *      maxHopsPerCycle routers, winning or losing port claims, being
  *      tapped, interim-accepted, buffered, delivered, or dropped.
+ *
+ * Phases 2 and 3 visit only non-empty NICs and routers whose launch
+ * horizon has come (DESIGN.md §13); the others would do nothing.
  */
 
 #ifndef PHASTLANE_CORE_NETWORK_HPP
@@ -37,8 +40,6 @@
 
 namespace phastlane::core {
 
-class NetworkBatch;
-
 /** Phastlane-specific statistics beyond the common counters. */
 struct PhastlaneCounters {
     uint64_t drops = 0;
@@ -55,6 +56,11 @@ class PhastlaneNetwork : public Network
 {
   public:
     explicit PhastlaneNetwork(const PhastlaneParams &params);
+
+    /** Not copyable: every router points into this network's launch
+     *  board. */
+    PhastlaneNetwork(const PhastlaneNetwork &) = delete;
+    PhastlaneNetwork &operator=(const PhastlaneNetwork &) = delete;
 
     // Network interface.
     int nodeCount() const override { return mesh_.nodeCount(); }
@@ -87,6 +93,30 @@ class PhastlaneNetwork : public Network
     const RouterBuffers &routerBuffers(NodeId n) const
     {
         return routers_[static_cast<size_t>(n)];
+    }
+
+    /** Packets queued in node @p n's NIC. */
+    size_t nicQueued(NodeId n) const
+    {
+        return nics_[static_cast<size_t>(n)].occupancy();
+    }
+
+    /** Router @p n's launch-board slot (DESIGN.md §13): a lower bound
+     *  on the earliest cycle it could launch, kNeverCycle exactly
+     *  while it is empty. step() arbitrates only routers whose slot
+     *  has come. For checkers. */
+    Cycle launchBoard(NodeId n) const
+    {
+        return launchBoard_[static_cast<size_t>(n)];
+    }
+
+    /** True when node @p n's NIC-occupancy bit is set: step() moves
+     *  packets out of those NICs only. For checkers. */
+    bool nicMarked(NodeId n) const
+    {
+        return (nicBusy_[static_cast<size_t>(n) >> 6] >>
+                (static_cast<size_t>(n) & 63)) &
+               1;
     }
 
     /** Longest losing arbitration streak of source @p n's packets
@@ -135,10 +165,6 @@ class PhastlaneNetwork : public Network
     }
 
   private:
-    /** NetworkBatch drives the per-phase internals directly to step a
-     *  gang of instances in lockstep (DESIGN.md §13). */
-    friend class NetworkBatch;
-
     /** A packet in optical transit within the current cycle. */
     struct Flight {
         OpticalPacket pkt;
@@ -211,8 +237,7 @@ class PhastlaneNetwork : public Network
     void nicToLocalQueues();
     void launchPhase();
     /** One router's arbitration + launch bookkeeping: the body of
-     *  launchPhase(), also called per eligible router by the batch
-     *  engine (which skips routers via the launch board). */
+     *  launchPhase() for each router whose board slot has come. */
     void launchRouter(NodeId r);
     void propagateSubstepFcfs(std::vector<Flight> &flights);
     void propagateBitplane(std::vector<Flight> &flights);
@@ -264,13 +289,10 @@ class PhastlaneNetwork : public Network
      * Per-cycle scratch for the step() hot path: the claim planes,
      * flight list, sub-step work lists, and the flat (router, port)
      * claim-resolution / request-chain tables of the bit-plane engine
-     * (DESIGN.md §11). Everything here is dead between cycles — it is
-     * either cleared at cycle start or guarded by an epoch tag — so a
-     * NetworkBatch gang of same-shape instances shares ONE StepScratch
-     * and each instance-step reuses hot cache lines instead of
-     * cold-touching its own copy. Epoch tags stay monotone across the
-     * gang (instances step serially and only test tags for equality
-     * against the current epoch), so sharing needs no resets.
+     * (DESIGN.md §11). Everything here is dead between cycles: it is
+     * either cleared at cycle start or guarded by an epoch tag, and
+     * it is cleared, never shrunk, so steady-state cycles allocate
+     * nothing.
      */
     struct StepScratch {
         explicit StepScratch(int node_count);
@@ -313,6 +335,11 @@ class PhastlaneNetwork : public Network
     std::vector<OpticalNic> nics_;
     std::vector<RouterBuffers> routers_;
     std::vector<uint8_t> failedRouters_; ///< drawn once at construction
+    /** One slot per router, bound into its RouterBuffers: the launch
+     *  horizon step() tests before arbitrating it. */
+    std::vector<Cycle> launchBoard_;
+    /** One bit per node, set exactly while its NIC holds packets. */
+    std::vector<uint64_t> nicBusy_;
     ReturnPathRegistry returnPaths_;
     /** Bit-plane mesh geometry for the word-parallel engine. */
     BitPlaneMesh bitMesh_;
@@ -327,20 +354,11 @@ class PhastlaneNetwork : public Network
     std::vector<LaunchOutcome> pendingDrops_;
     std::vector<Delivery> deliveries_;
 
-    // Per-cycle scratch (see StepScratch). scratch_ points at
-    // ownScratch_ outside a batch; a NetworkBatch re-targets it to the
-    // gang-shared scratch while attached. All scratch state is
-    // cleared, never shrunk, so steady-state cycles allocate nothing.
-    StepScratch ownScratch_;
-    StepScratch *scratch_ = &ownScratch_;
+    StepScratch scratch_;
 
     NetworkCounters counters_;
     PhastlaneCounters pl_;
     OpticalEvents events_;
-    /** Instance slot in a NetworkBatch NIC-occupancy bit plane, or
-     *  nullptr outside a batch; inject() sets the source node's bit
-     *  so the batch engine can skip empty NICs word-at-a-time. */
-    uint64_t *batchNicOcc_ = nullptr;
     StepObserver *observer_ = nullptr;
     uint64_t outstanding_ = 0;
     uint64_t nextBranchId_ = 1;

@@ -83,9 +83,9 @@ class ReliableNic
     void step();
 
     /** The non-network half of step(): harvest the cycle's deliveries
-     *  and run the retransmit timers. For callers (MultiSim) that
-     *  step the underlying network themselves; call once after every
-     *  network step. */
+     *  and run the retransmit timers. For callers (a sim::runJobs
+     *  Job) that step the underlying network themselves; call once
+     *  after every network step. */
     void afterNetStep();
 
     /** Deduplicated deliveries completed during the last step(),

@@ -59,6 +59,19 @@ RouterBuffers::emplaceEntry(Port q, Cycle eligible_at)
     return e;
 }
 
+Cycle
+RouterBuffers::earliestWaiting() const
+{
+    Cycle earliest = kNeverCycle;
+    for (const auto &queue : queues_) {
+        for (const auto &entry : queue) {
+            if (entry.state == EntryState::Waiting)
+                earliest = std::min(earliest, entry.eligibleAt);
+        }
+    }
+    return earliest;
+}
+
 BufferEntry *
 RouterBuffers::findLaunchedIn(Port q, PacketId id)
 {
@@ -95,7 +108,7 @@ RouterBuffers::releaseLaunched(Port q, PacketId id)
         if (it->state == EntryState::Launched &&
             it->pkt.branchId == id) {
             queue.erase(it);
-            --total_;
+            noteRemoved();
             return;
         }
     }
@@ -111,7 +124,7 @@ RouterBuffers::releaseLaunched(PacketId id)
             if (it->state == EntryState::Launched &&
                 it->pkt.branchId == id) {
                 queue.erase(it);
-                --total_;
+                noteRemoved();
                 return;
             }
         }

@@ -227,33 +227,44 @@ class RouterBuffers
     }
 
     /**
-     * Bind (or, with nullptr, unbind) this router's slot in a batch
-     * launch board (DESIGN.md §13). The slot mirrors the launch
-     * horizon: a lower bound on the earliest cycle arbitrate() could
-     * do work here, kNeverCycle while the router is empty. A batch
-     * engine may skip the arbitrate() call while the board value is
-     * in the future, provided it replays the skipped rotating-pointer
-     * advances with syncRotate() first.
+     * Bind this router's slot in its network's launch board
+     * (DESIGN.md §13). The slot is a lower bound on the earliest cycle
+     * arbitrate() could launch here, and kNeverCycle exactly while the
+     * router is empty. The network skips the arbitrate() call while
+     * the slot is in the future, and replays the skipped
+     * rotating-pointer advances with syncRotate() before the next real
+     * call. A router that was never bound (a standalone one in a unit
+     * test) keeps no slot.
      */
     void bindBoard(Cycle *slot)
     {
         board_ = slot;
-        if (board_ != nullptr)
-            *board_ = total_ == 0 ? kNeverCycle : nextEligible_;
+        *board_ = total_ == 0 ? kNeverCycle : nextEligible_;
     }
 
     /**
-     * Reconstruct the rotating pointer as if arbitrate() had run once
-     * per cycle since cycle 0 — which is exactly what the serial
-     * engine does, advancing rotate_ by one per call from 0. Called by
-     * the batch engine before a real arbitrate() to make board-driven
-     * skips invisible to the priority rotation.
+     * Set the rotating pointer to what it would be had arbitrate() run
+     * once per cycle since cycle 0, advancing it by one per call: the
+     * network calls this before every real arbitrate(), so skipped
+     * cycles are invisible to the priority rotation.
      */
     void syncRotate(Cycle now)
     {
         if (policy_ != BufferArbitration::OldestFirst)
             rotate_ = static_cast<int>(now % kAllPorts);
     }
+
+    /** The cycle of the last arbitrate() call that scanned the queues
+     *  (kNeverCycle before the first) and the rotating pointer that
+     *  scan started from: lets a checker confirm that every real
+     *  arbitration of a network-stepped router saw cycle % 5. */
+    Cycle lastScanAt() const { return lastScanAt_; }
+    int lastScanRotate() const { return lastScanRotate_; }
+
+    /** Earliest eligibleAt among Waiting entries (kNeverCycle when
+     *  none): the true launch horizon the board slot bounds from
+     *  below. O(occupancy); for checkers. */
+    Cycle earliestWaiting() const;
 
   private:
     NodeId self_;
@@ -272,16 +283,17 @@ class RouterBuffers
      *  arbitrate() skip the queue scan while all buffered packets sit
      *  in backoff or in flight. */
     Cycle nextEligible_ = 0;
-    /** Slot in a NetworkBatch launch board, or nullptr outside a
-     *  batch. Mirrors the launch horizon so the batch engine can skip
-     *  whole routers without touching their queues. */
+    /** Slot in the network's launch board, or nullptr for a router
+     *  outside a network. Mirrors the launch horizon so the network
+     *  can skip whole routers without touching their queues. */
     Cycle *board_ = nullptr;
+    Cycle lastScanAt_ = kNeverCycle;
+    int lastScanRotate_ = 0;
 
     /** Admission policy (DESIGN.md §14): TokenBucket throttles
      *  local-queue (source-originated) launches through bucket_;
-     *  transit queues are never throttled. Per-router state keeps the
-     *  batched engine race-free: the consume() sequence is exactly
-     *  the arbitration scan order. */
+     *  transit queues are never throttled. The consume() sequence is
+     *  exactly the arbitration scan order. */
     AdmissionPolicy admission_ = AdmissionPolicy::None;
     int admissionBurst_ = 0;
     int admissionPeriod_ = 1;
@@ -290,6 +302,14 @@ class RouterBuffers
     /** Starvation maxima (longest losing streak observed). */
     uint64_t maxConsecLossLocal_ = 0;
     uint64_t maxConsecLossAll_ = 0;
+
+    /** Account one released entry; an emptied router clears its
+     *  board slot so the network stops visiting it. */
+    void noteRemoved()
+    {
+        if (--total_ == 0 && board_ != nullptr)
+            *board_ = kNeverCycle;
+    }
 
     /** Record an eligible-but-unselected arbitration round. */
     void noteLoss(BufferEntry &entry, Port q)
@@ -316,13 +336,15 @@ RouterBuffers::arbitrate(Cycle now, DesiredPortFn &&desired_port,
     if (total_ == 0 || now < nextEligible_) {
         if (policy_ != BufferArbitration::OldestFirst)
             rotate_ = (rotate_ + 1) % kAllPorts;
-        // Refresh a stale-low board slot so a wasted batch visit
-        // (e.g. after releaseLaunched() emptied the router) self-heals
-        // instead of recurring every cycle.
+        // Refresh a stale-low board slot (a drop restored an entry
+        // into backoff) so the wasted visit does not recur every
+        // cycle.
         if (board_ != nullptr)
             *board_ = total_ == 0 ? kNeverCycle : nextEligible_;
         return;
     }
+    lastScanAt_ = now;
+    lastScanRotate_ = rotate_;
     bool port_taken[kMeshPorts] = {false, false, false, false};
     Cycle next_eligible = kNeverCycle;
 
@@ -400,8 +422,13 @@ RouterBuffers::arbitrate(Cycle now, DesiredPortFn &&desired_port,
         rotate_ = (rotate_ + 1) % kAllPorts;
     }
     nextEligible_ = next_eligible;
+    // Entries launched now resolve at the start of the next cycle:
+    // a release that empties the router clears the slot, and a drop
+    // lowers it through noteEligible(). Until then a router holding
+    // only launched entries keeps a finite slot, so kNeverCycle means
+    // empty.
     if (board_ != nullptr)
-        *board_ = total_ == 0 ? kNeverCycle : next_eligible;
+        *board_ = next_eligible == kNeverCycle ? now + 1 : next_eligible;
 }
 
 template <typename DesiredPortFn>

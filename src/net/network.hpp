@@ -13,6 +13,7 @@
 #ifndef PHASTLANE_NET_NETWORK_HPP
 #define PHASTLANE_NET_NETWORK_HPP
 
+#include <atomic>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -38,7 +39,20 @@ struct NetworkCounters {
 class Network
 {
   public:
-    virtual ~Network() = default;
+    Network() { noteLive(1); }
+    Network(const Network &) { noteLive(1); }
+    Network &operator=(const Network &) = default;
+    virtual ~Network() { noteLive(-1); }
+
+    /** Network objects alive in this process (wrappers such as a
+     *  CheckedNetwork count too). A serial campaign holds one
+     *  (DESIGN.md §13). */
+    static int liveCount() { return live_.load(); }
+
+    /** The most Network objects alive at once since the last
+     *  resetPeakLiveCount(). */
+    static int peakLiveCount() { return peakLive_.load(); }
+    static void resetPeakLiveCount() { peakLive_.store(live_.load()); }
 
     /** Number of endpoints. */
     virtual int nodeCount() const = 0;
@@ -69,6 +83,18 @@ class Network
 
     /** Common counters. */
     virtual const NetworkCounters &counters() const = 0;
+
+  private:
+    static void noteLive(int delta)
+    {
+        const int now = live_.fetch_add(delta) + delta;
+        int peak = peakLive_.load();
+        while (now > peak && !peakLive_.compare_exchange_weak(peak, now)) {
+        }
+    }
+
+    static inline std::atomic<int> live_{0};
+    static inline std::atomic<int> peakLive_{0};
 };
 
 } // namespace phastlane

@@ -4,7 +4,7 @@
 
 #include "common/log.hpp"
 #include "core/network.hpp"
-#include "sim/multisim.hpp"
+#include "sim/runner.hpp"
 
 namespace phastlane::sim {
 
@@ -36,14 +36,14 @@ runExperiment(const ExperimentSpec &spec)
     using CellJob = DriverJob<traffic::CoherenceDriver>;
     std::vector<BenchmarkRun> runs(nb * nc);
     runJobs(
-        runs.size(), spec.threads, spec.batch,
+        runs.size(), spec.threads,
         [&](size_t i) {
             const size_t b = i / nc;
             return std::make_unique<CellJob>(
                 configs[i % nc].make(spec.seed), streams[b],
                 profiles[b].mshrLimit);
         },
-        [&](size_t i, MultiSim::Job &job) {
+        [&](size_t i, Job &job) {
             BenchmarkRun &run = runs[i];
             run.benchmark = profiles[i / nc].name;
             run.config = spec.configs[i % nc];

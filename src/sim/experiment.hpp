@@ -52,12 +52,9 @@ struct ExperimentSpec {
      *  Results are bit-identical across thread counts. */
     int threads = 0;
 
-    /** Batched lockstep backend (DESIGN.md §13): gang size for
-     *  stepping the grid's batch-eligible cells through one
-     *  NetworkBatch when the grid runs serially (resolved threads ==
-     *  1). Ineligible cells (electrical configs) run alone. 0 = auto,
-     *  1 = disable, > 1 = explicit gang size. Results are
-     *  bit-identical to the serial path. */
+    /** Ignored. It named the gang size of the batched engine, which
+     *  is gone (DESIGN.md §13); it stays only because the perfbench
+     *  splash_campaign workload still assigns it. */
     int batch = 0;
 };
 

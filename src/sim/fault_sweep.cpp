@@ -12,7 +12,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/network.hpp"
-#include "sim/multisim.hpp"
+#include "sim/runner.hpp"
 
 namespace phastlane::sim {
 
@@ -92,13 +92,13 @@ namespace {
 /**
  * One sweep point as a step-wise job: Bernoulli traffic over its own
  * network (and optional ReliableNic), entirely self-contained so
- * points can run on any thread or under a NetworkBatch gang. Seeds
+ * points can run on any thread. Seeds
  * derive from (cfg.seed, index); the cycle structure — generate,
  * pump, step, harvest for measureCycles, then pump, step, harvest
  * until quiescent or the drain budget runs out — matches the original
  * serial loop exactly.
  */
-class FaultPointJob final : public MultiSim::Job
+class FaultPointJob final : public Job
 {
   public:
     FaultPointJob(const FaultSweepConfig &cfg, size_t index)
@@ -271,9 +271,9 @@ runFaultSweep(const FaultSweepConfig &cfg)
 {
     std::vector<FaultSweepPoint> points(cfg.rates.size());
     runJobs(
-        points.size(), cfg.threads, cfg.batch,
+        points.size(), cfg.threads,
         [&](size_t i) { return std::make_unique<FaultPointJob>(cfg, i); },
-        [&](size_t i, MultiSim::Job &job) {
+        [&](size_t i, Job &job) {
             points[i] = static_cast<FaultPointJob &>(job).finishPoint();
             return true;
         },

@@ -6,10 +6,10 @@
  * suppression, and loss respond — with or without the end-to-end
  * reliability layer (core::ReliableNic).
  *
- * Points are independent simulations run by sim::runJobs (ganged,
- * alone or in parallel); every point derives its fault and traffic
+ * Points are independent simulations run by sim::runJobs (one after
+ * another or in parallel); every point derives its fault and traffic
  * seeds from the campaign seed and the point index, so the sweep is
- * bit-identical at any thread count and gang size.
+ * bit-identical at any thread count.
  */
 
 #ifndef PHASTLANE_SIM_FAULT_SWEEP_HPP
@@ -52,13 +52,6 @@ struct FaultSweepConfig {
     /** Simulation threads: 0 = auto (PL_THREADS env, else hardware
      *  concurrency), 1 = serial. Bit-identical at any count. */
     int threads = 0;
-
-    /** Batched lockstep backend (DESIGN.md §13): gang size for
-     *  stepping the points' networks through one NetworkBatch when
-     *  the sweep runs serially (resolved threads == 1) and the params
-     *  are batch-eligible. 0 = auto, 1 = disable, > 1 = explicit
-     *  gang size. Results are bit-identical to the serial path. */
-    int batch = 0;
 
     /** Wrap the network in a core::ReliableNic. The default schedule
      *  (128-cycle base timeout, 6 retries, shift cap 5) bounds a

@@ -7,9 +7,10 @@
 namespace phastlane::sim {
 
 ReplayCore::ReplayCore(Network &net, size_t max_pending)
-    : net_(net), maxPending_(max_pending)
+    : net_(net)
 {
     PL_ASSERT(max_pending > 0, "replay window must hold >= 1 packet");
+    pending_.resize(max_pending);
 }
 
 void
@@ -29,15 +30,22 @@ ReplayCore::release(const traffic::TraceRecord &r)
     pkt.kind = r.kind;
     pkt.tag = r.tag;
     pkt.createdAt = net_.now();
-    pending_.push_back(pkt);
+    size_t tail = pendingHead_ + pendingCount_;
+    if (tail >= pending_.size())
+        tail -= pending_.size();
+    pending_[tail] = pkt;
+    ++pendingCount_;
     ++released_;
 }
 
 void
 ReplayCore::injectPending()
 {
-    while (!pending_.empty() && net_.inject(pending_.front()))
-        pending_.pop_front();
+    while (pendingCount_ > 0 && net_.inject(pending_[pendingHead_])) {
+        if (++pendingHead_ == pending_.size())
+            pendingHead_ = 0;
+        --pendingCount_;
+    }
 }
 
 void
@@ -58,7 +66,7 @@ ReplayCore::stats() const
     s.messages = released_;
     s.deliveries = deliveries_;
     s.avgLatency = latency_.mean();
-    s.outstanding = net_.inFlight() + pending_.size();
+    s.outstanding = net_.inFlight() + pendingCount_;
     return s;
 }
 

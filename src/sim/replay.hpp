@@ -11,8 +11,8 @@
 #ifndef PHASTLANE_SIM_REPLAY_HPP
 #define PHASTLANE_SIM_REPLAY_HPP
 
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "net/network.hpp"
@@ -29,7 +29,8 @@ struct ReplayOptions {
      * Released-but-not-injected window: records due at the current
      * cycle move into the pending queue only while it holds fewer
      * than this many packets, so resident memory stays O(maxPending)
-     * however far the NICs fall behind the trace. A record held back
+     * however far the NICs fall behind the trace. ReplayCore
+     * allocates all maxPending slots up front. A record held back
      * by a full window gets its createdAt (latency base) stamped at
      * its actual release cycle, not its trace cycle.
      */
@@ -62,7 +63,7 @@ class ReplayCore
     /** True while the release window has room. */
     bool windowHasSpace() const
     {
-        return pending_.size() < maxPending_;
+        return pendingCount_ < pending_.size();
     }
 
     /** Release @p r: validate against the network's node range
@@ -78,21 +79,24 @@ class ReplayCore
     /** No released packet awaits injection or delivery. */
     bool quiescent() const
     {
-        return pending_.empty() && net_.inFlight() == 0;
+        return pendingCount_ == 0 && net_.inFlight() == 0;
     }
 
     Network &net() { return net_; }
     uint64_t released() const { return released_; }
     uint64_t deliveries() const { return deliveries_; }
-    size_t pendingCount() const { return pending_.size(); }
+    size_t pendingCount() const { return pendingCount_; }
 
     /** Stats snapshot for the loop run so far. */
     ReplayStats stats() const;
 
   private:
     Network &net_;
-    size_t maxPending_;
-    std::deque<Packet> pending_;
+    /** The release window: a ring of max_pending slots, allocated
+     *  once, holding pendingCount_ packets from pendingHead_ on. */
+    std::vector<Packet> pending_;
+    size_t pendingHead_ = 0;
+    size_t pendingCount_ = 0;
     RunningStat latency_;
     uint64_t released_ = 0;
     uint64_t deliveries_ = 0;

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "common/log.hpp"
-#include "sim/multisim.hpp"
+#include "sim/runner.hpp"
 
 namespace phastlane::sim {
 
@@ -125,7 +125,7 @@ runSweep(const NetConfig &config, const SweepConfig &sweep)
     // order.
     std::vector<SweepPoint> points(sweep.rates.size());
     const size_t kept = runJobs(
-        points.size(), sweep.threads, sweep.batch,
+        points.size(), sweep.threads,
         [&](size_t i) {
             traffic::SyntheticConfig cfg;
             cfg.pattern = sweep.pattern;
@@ -141,7 +141,7 @@ runSweep(const NetConfig &config, const SweepConfig &sweep)
                 job->recordMetrics(points[i].metrics);
             return job;
         },
-        [&](size_t i, MultiSim::Job &job) {
+        [&](size_t i, Job &job) {
             points[i].injectionRate = sweep.rates[i];
             points[i].result =
                 static_cast<PointJob &>(job).driver().finish();

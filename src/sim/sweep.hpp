@@ -53,15 +53,6 @@ struct SweepConfig {
     /** Collect per-point obs metrics (each point records into its own
      *  registry; merge with mergedMetrics() for run totals). */
     bool collectMetrics = false;
-
-    /** Batched lockstep backend (DESIGN.md §13): gang size for
-     *  stepping many points' networks through one NetworkBatch when
-     *  the sweep runs serially (resolved threads == 1) and the
-     *  configuration is batch-eligible (no observers, FCFS
-     *  wavefront; other points run alone). 0 = auto
-     *  (MultiSim::kDefaultBatch), 1 = disable, > 1 = explicit gang
-     *  size. Results are bit-identical to the serial path. */
-    int batch = 0;
 };
 
 /** Default Fig 9 rate grid (packets/node/cycle). */

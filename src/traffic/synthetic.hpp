@@ -72,8 +72,8 @@ class SyntheticDriver
     SyntheticResult run();
 
     // Step-wise interface, equivalent to run() but with the
-    // net_.step() call in the caller's hands so a MultiSim can
-    // interleave many drivers' cycles:
+    // net_.step() call in the caller's hands, so sim::runJobs can
+    // drive it as a Job:
     //   begin();
     //   while (!done()) { preStep(); net.step(); postStep(); }
     //   result = finish();

@@ -3,7 +3,7 @@
  * Tests of the parallel simulation harness (common/parallel.hpp): the
  * pool itself, and the determinism contract -- sweeps, experiments and
  * fault sweeps produce bit-identical results in every sim::runJobs
- * mode (serial, ganged, parallel) at any thread count and gang size.
+ * mode (serial, parallel) at any thread count.
  */
 
 #include <algorithm>
@@ -175,16 +175,10 @@ expectIdenticalPoints(const std::vector<SweepPoint> &a,
     }
 }
 
-/** The (threads, batch) pairs every runner must agree across: serial
- *  (batch 1), ganged with the default and with two-wide gangs (so a
- *  sweep spans several gangs), and the same three on a parallel pool
- *  of three workers (so a grid spans several waves). */
-struct RunnerMode {
-    int threads;
-    int batch;
-};
-constexpr RunnerMode kRunnerModes[] = {{1, 0}, {1, 1}, {1, 2},
-                                       {3, 0}, {3, 1}, {3, 2}};
+/** The sim::runJobs thread counts every campaign must agree across:
+ *  1 is the serial mode; 2 and 4 split the grids and sweeps into
+ *  several waves. */
+constexpr int kRunnerThreads[] = {1, 2, 4};
 
 TEST(ParallelSweep, BitIdenticalToSerial)
 {
@@ -254,9 +248,9 @@ TEST(ParallelExperiment, BitIdenticalToSerial)
 }
 
 /** Every runJobs mode gives the plain serial sweep's points: with and
- *  without the saturation stop (which truncates mid-grid, across gang
- *  and wave boundaries), with metrics observers (which make every
- *  point run alone), on a batchable and a non-batchable config. */
+ *  without the saturation stop (which truncates mid-grid, across wave
+ *  boundaries), with metrics observers, on an optical and an
+ *  electrical config. */
 TEST(RunnerEquivalence, SweepIdenticalInEveryMode)
 {
     struct Variant {
@@ -274,7 +268,6 @@ TEST(RunnerEquivalence, SweepIdenticalInEveryMode)
             sc.measureCycles = 400;
             sc.stopAtSaturation = v.stop;
             sc.collectMetrics = v.metrics;
-            sc.batch = 1;
             const auto ref = runSweep(makeConfig(config), sc);
             ASSERT_FALSE(ref.empty());
             if (v.stop) {
@@ -285,14 +278,12 @@ TEST(RunnerEquivalence, SweepIdenticalInEveryMode)
             if (v.metrics && std::string(config) == "Optical4") {
                 EXPECT_FALSE(mergedMetrics(ref).counterNames().empty());
             }
-            for (const RunnerMode m : kRunnerModes) {
+            for (const int threads : kRunnerThreads) {
                 SCOPED_TRACE(::testing::Message()
                              << config << " stop=" << v.stop
                              << " metrics=" << v.metrics
-                             << " threads=" << m.threads
-                             << " batch=" << m.batch);
-                sc.threads = m.threads;
-                sc.batch = m.batch;
+                             << " threads=" << threads);
+                sc.threads = threads;
                 expectIdenticalPoints(ref,
                                       runSweep(makeConfig(config), sc));
             }
@@ -310,13 +301,10 @@ TEST(RunnerEquivalence, FaultSweepIdenticalInEveryMode)
     cfg.broadcastFraction = 0.2;
     cfg.measureCycles = 300;
     cfg.threads = 1;
-    cfg.batch = 1;
     const std::string ref = faultSweepToJson(cfg, runFaultSweep(cfg));
-    for (const RunnerMode m : kRunnerModes) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << m.threads
-                                          << " batch=" << m.batch);
-        cfg.threads = m.threads;
-        cfg.batch = m.batch;
+    for (const int threads : kRunnerThreads) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        cfg.threads = threads;
         EXPECT_EQ(ref, faultSweepToJson(cfg, runFaultSweep(cfg)));
     }
 }
@@ -325,13 +313,10 @@ TEST(RunnerEquivalence, ExperimentIdenticalInEveryMode)
 {
     ExperimentSpec spec = smallExperiment();
     spec.threads = 1;
-    spec.batch = 1;
     const auto ref = runExperiment(spec);
-    for (const RunnerMode m : kRunnerModes) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << m.threads
-                                          << " batch=" << m.batch);
-        spec.threads = m.threads;
-        spec.batch = m.batch;
+    for (const int threads : kRunnerThreads) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        spec.threads = threads;
         expectIdenticalRuns(ref, runExperiment(spec));
     }
 }

@@ -401,5 +401,38 @@ TEST(StreamingReplay, SurfacesCycleLimit)
     EXPECT_EQ(s.deliveries, 1u);
 }
 
+TEST(ReplayCore, SmallWindowWrapsInReleaseOrder)
+{
+    // 300 records from four sources in the first few cycles swamp
+    // their NICs, so a 3-slot window fills and wraps many times.
+    // Injection is head-of-line, so the network must accept the
+    // records in exactly their trace order.
+    std::vector<TraceRecord> trace;
+    for (uint64_t i = 0; i < 300; ++i) {
+        const auto src = static_cast<NodeId>(i % 4);
+        trace.push_back({i / 100, src, static_cast<NodeId>(src + 9),
+                         MessageKind::Synthetic, i + 1});
+    }
+    auto inner = makeNet();
+    traffic::RecordingNetwork net(inner);
+    ReplayCore core(net, 3);
+    size_t next = 0;
+    while (net.now() < 100000) {
+        while (next < trace.size() && trace[next].cycle <= net.now() &&
+               core.windowHasSpace())
+            core.release(trace[next++]);
+        ASSERT_LE(core.pendingCount(), 3u);
+        core.injectPending();
+        if (next == trace.size() && core.quiescent())
+            break;
+        core.stepAndHarvest();
+    }
+    ASSERT_TRUE(core.quiescent());
+    EXPECT_EQ(core.deliveries(), trace.size());
+    ASSERT_EQ(net.recorded().size(), trace.size());
+    for (size_t i = 0; i < trace.size(); ++i)
+        EXPECT_EQ(net.recorded()[i].tag, trace[i].tag) << "record " << i;
+}
+
 } // namespace
 } // namespace phastlane::sim
